@@ -188,3 +188,30 @@ func BenchmarkFullSimulation_SPES_Sharded(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRetrain times one online re-categorization boundary in the
+// serving shape: a 2000-function flash-crowd population trained on 12 days,
+// retrained at simulation slot 1440 over a 12-day sliding window (the
+// window straddles the training/simulation split, so it is assembled from
+// both traces). One op is sim.BuildRetrainWindow plus SPES.Retrain, the
+// work that stalls the daemon's apply loop; run it with -benchmem for the
+// layer's bytes/op and allocs/op.
+func BenchmarkRetrain(b *testing.B) {
+	s := experiments.DefaultSettings()
+	s.Functions, s.Days, s.TrainDays = 2000, 14, 12
+	if err := s.ApplyScenario("flashcrowd"); err != nil {
+		b.Fatal(err)
+	}
+	_, train, simTr, err := experiments.BuildWorkload(s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	policy := core.New(core.DefaultConfig())
+	policy.Train(train)
+	const t = 1440
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		policy.Retrain(t, sim.BuildRetrainWindow(train, simTr, t, train.Slots))
+	}
+}

@@ -1,9 +1,13 @@
 package classify
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"reflect"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -183,7 +187,7 @@ func TestMineLinksCapsAndThreshold(t *testing.T) {
 	invoked[9] = []int32{3, 7, 9}
 	peers = append(peers, 9)
 
-	links := mineLinks(0, invoked, peers, nil, cfg, make([]uint32, len(invoked)), 1)
+	links := mineLinks(0, testSlotSets(invoked, 5000), peers, nil, cfg, newLinkScratch(len(invoked), slotWords(5000), 0, cfg))
 	if len(links) != 5 {
 		t.Fatalf("links = %d, want capped at 5", len(links))
 	}
@@ -197,10 +201,24 @@ func TestMineLinksCapsAndThreshold(t *testing.T) {
 	}
 }
 
+// testSlotSets lays out ascending slot lists over a slots-slot window the
+// way Categorize does (buildSlotSets), so dense lists become bitsets.
+func testSlotSets(invoked [][]int32, slots int) []slotSet {
+	ss := make([]trace.Series, len(invoked))
+	for i, l := range invoked {
+		for _, x := range l {
+			ss[i] = append(ss[i], trace.Event{Slot: x, Count: 1})
+		}
+	}
+	sets := make([]slotSet, len(invoked))
+	buildSlotSets(ss, slotWords(slots), slots, sets, make([][]int32, len(invoked)))
+	return sets
+}
+
 func TestMineLinksEmptyTarget(t *testing.T) {
 	cfg := DefaultConfig()
 	invoked := [][]int32{nil, {1, 2, 3}}
-	if links := mineLinks(0, invoked, []trace.FuncID{1}, nil, cfg, make([]uint32, len(invoked)), 1); links != nil {
+	if links := mineLinks(0, testSlotSets(invoked, 10), []trace.FuncID{1}, nil, cfg, newLinkScratch(len(invoked), slotWords(10), 0, cfg)); links != nil {
 		t.Errorf("links for silent target = %v", links)
 	}
 }
@@ -239,7 +257,7 @@ func TestAlwaysWarmFastMatchesActivityBranch(t *testing.T) {
 	}
 	for i, s := range cases {
 		fastP, fastOK := alwaysWarmFast(s, slots, cfg)
-		act := extractWindow(s, 0, slots)
+		act := new(actScratch).extractWindow(s, 0, slots)
 		refOK := act.Invocations > 0 &&
 			(act.InvokedEverySlot() ||
 				(float64(act.TotalWT()) <= cfg.AlwaysWarmIdleFrac*float64(act.Slots) &&
@@ -267,16 +285,23 @@ func TestCategorizeParallelDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	train, _ := tr.Split(3 * 1440)
+	assertWorkerInvariant(t, train, []int{0, 2, 4, 8})
+}
 
+// assertWorkerInvariant categorizes tr serially and at every worker count in
+// workers (twice each) and fails on the first profile that differs. It
+// returns the serial outcome.
+func assertWorkerInvariant(t *testing.T, tr *trace.Trace, workers []int) *Outcome {
+	t.Helper()
 	serial := DefaultConfig()
 	serial.Workers = 1
-	ref := Categorize(train, serial, false, false)
+	ref := Categorize(tr, serial, false, false)
 
-	for _, w := range []int{0, 2, 4, 8} {
+	for _, w := range workers {
 		cfg := DefaultConfig()
 		cfg.Workers = w
 		for rep := 0; rep < 2; rep++ {
-			got := Categorize(train, cfg, false, false)
+			got := Categorize(tr, cfg, false, false)
 			if !reflect.DeepEqual(got.Profiles, ref.Profiles) {
 				for fid := range ref.Profiles {
 					if !reflect.DeepEqual(got.Profiles[fid], ref.Profiles[fid]) {
@@ -285,6 +310,187 @@ func TestCategorizeParallelDeterminism(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+	return ref
+}
+
+// outcomeHash folds every field of every profile — type, predictive values,
+// range, the float summaries by bit pattern, and the links in order — into
+// one FNV-64a digest, so a golden value pins an outcome bit for bit.
+func outcomeHash(o *Outcome) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for _, p := range o.Profiles {
+		put(uint64(p.Type))
+		put(uint64(len(p.Values)))
+		for _, v := range p.Values {
+			put(uint64(int64(v)))
+		}
+		put(uint64(int64(p.RangeLo)))
+		put(uint64(int64(p.RangeHi)))
+		put(math.Float64bits(p.MedianWT))
+		put(math.Float64bits(p.StdWT))
+		put(uint64(int64(p.WTCount)))
+		put(uint64(len(p.Links)))
+		for _, l := range p.Links {
+			put(uint64(int64(l.Cand)))
+			put(uint64(int64(l.Lag)))
+		}
+	}
+	return h.Sum64()
+}
+
+// goldenRetrainOutcome is outcomeHash of the categorization below, computed
+// with the sparse-merge link mining and the two-copy window builder that
+// predate the bitset kernels. Any change means the categorization changed.
+const goldenRetrainOutcome uint64 = 0x332fd19f22f64548
+
+// TestCategorizeRetrainWindowGolden runs the worker-count invariance check
+// on a retrain window — assembled by sim.BuildRetrainWindow across the
+// training/simulation split, as the online re-categorization does — whose
+// population includes correlated functions, and pins its outcome to a
+// golden hash.
+func TestCategorizeRetrainWindowGolden(t *testing.T) {
+	const days, trainDays = 5, 4
+	cfg := trace.DefaultGeneratorConfig(600, days, 7)
+	sc, err := trace.NamedScenario("flashcrowd", trainDays*1440, days*1440)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Scenario = sc
+	full, err := trace.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, simTr := full.Split(trainDays * 1440)
+	win := sim.BuildRetrainWindow(train, simTr, 720, train.Slots)
+
+	ref := assertWorkerInvariant(t, win, []int{2, 8})
+	counts := ref.Count()
+	links := 0
+	for _, p := range ref.Profiles {
+		links += len(p.Links)
+	}
+	if counts[TypeCorrelated] == 0 || links == 0 {
+		t.Fatalf("window has %d correlated functions and %d links; the test needs both", counts[TypeCorrelated], links)
+	}
+	if got := outcomeHash(ref); got != goldenRetrainOutcome {
+		t.Errorf("outcome hash %#x, want golden %#x (types %v, %d links)", got, goldenRetrainOutcome, counts, links)
+	}
+}
+
+// TestMineLinksRepresentationInvariant mines every function of a generated
+// population twice: over the slot sets Categorize lays out (dense functions
+// as bitsets, so every pair with a dense side runs the bitset kernels) and
+// over all-list sets (every pair runs the sparse merges). The links must be
+// identical, in order.
+func TestMineLinksRepresentationInvariant(t *testing.T) {
+	tr, err := trace.Generate(trace.DefaultGeneratorConfig(300, 3, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	n, words := tr.NumFunctions(), slotWords(tr.Slots)
+	mixed := make([]slotSet, n)
+	buildSlotSets(tr.Series, words, tr.Slots, mixed, make([][]int32, n))
+	lists := make([]slotSet, n)
+	dense := 0
+	for fid, s := range tr.Series {
+		lists[fid].n = len(s)
+		for _, e := range s {
+			lists[fid].list = append(lists[fid].list, e.Slot)
+		}
+		if mixed[fid].bits != nil {
+			dense++
+		}
+	}
+	if dense == 0 || dense == n {
+		t.Fatalf("%d of %d functions dense; the test needs both forms", dense, n)
+	}
+	apps, users := tr.AppFunctions(), tr.UserFunctions()
+	scMixed := newLinkScratch(n, words, 0, cfg)
+	scLists := newLinkScratch(n, words, 0, cfg)
+	linked := 0
+	for fid := range tr.Series {
+		f := tr.Functions[fid]
+		got := mineLinks(trace.FuncID(fid), mixed, apps[f.App], users[f.User], cfg, scMixed)
+		want := mineLinks(trace.FuncID(fid), lists, apps[f.App], users[f.User], cfg, scLists)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("f%d: links %+v over bitsets, %+v over lists", fid, got, want)
+		}
+		linked += len(got)
+	}
+	if linked == 0 {
+		t.Fatal("no links mined; the test exercises nothing")
+	}
+	for i := range scMixed.tBits {
+		if scMixed.tBits[i] != 0 || scMixed.cBits[i] != 0 {
+			t.Fatalf("scratch bitset word %d left set", i)
+		}
+	}
+}
+
+// TestMineLinksFollowBoundIsTight pins the follow-rate pre-scan bound to
+// exactness: a candidate whose follow rate equals its bound, and the bound
+// equals LinkPrecision, must still be linked. The target fires every 20
+// slots; the candidate fires lag slots before each target fire (so every
+// one of the target's slots is followed, the bound is reached) plus
+// unfollowed noise fires. Checked with sparse lists and with dense bitsets.
+func TestMineLinksFollowBoundIsTight(t *testing.T) {
+	for _, slots := range []int{640, 20000} {
+		const lag, fires, noise = 3, 30, 10
+		var target, cand []int32
+		for k := 0; k < fires; k++ {
+			target = append(target, int32(20+20*k))
+			cand = append(cand, int32(20+20*k-lag))
+		}
+		for k := 0; k < noise; k++ {
+			cand = append(cand, int32(20*fires+5+k)) // after the last target fire
+		}
+		cfg := DefaultConfig()
+		cfg.ValidationPrewarm, cfg.ThetaPrewarm = 0, 0 // slack 0: bound = len(target)
+		cfg.LinkPrecision = float64(fires) / float64(fires+noise)
+		sets := testSlotSets([][]int32{target, cand}, slots)
+		if dense := sets[0].bits != nil; dense != (slots == 640) {
+			t.Fatalf("slots=%d: target dense=%v", slots, dense)
+		}
+		links := mineLinks(0, sets, []trace.FuncID{1}, nil, cfg, newLinkScratch(2, slotWords(slots), 0, cfg))
+		if want := []Link{{Cand: 1, Lag: lag}}; !reflect.DeepEqual(links, want) {
+			t.Errorf("slots=%d: links %+v, want %+v", slots, links, want)
+		}
+	}
+}
+
+// TestMineLinksFollowPastWindowEnd covers a candidate fire whose follow
+// window reaches past the last slot of a window that is a whole number of
+// words: the dilated target must keep the bits past the window end.
+func TestMineLinksFollowPastWindowEnd(t *testing.T) {
+	const slots = 128
+	var target, cand []int32
+	for x := int32(0); x < slots; x++ {
+		if x%2 == 1 {
+			target = append(target, x)
+		}
+		if x%2 == 0 || x == slots-1 {
+			cand = append(cand, x)
+		}
+	}
+	cfg := DefaultConfig()
+	sets := testSlotSets([][]int32{target, cand}, slots)
+	if sets[0].bits == nil || sets[1].bits == nil {
+		t.Fatal("both functions must be dense")
+	}
+	tb := sets[0].bits
+	dilated := newLinkScratch(2, slotWords(slots), 0, cfg).dilate(tb, cfg.followSlack())
+	for lag := int32(0); lag <= cfg.MaxLag; lag++ {
+		want := FollowRate(cand, target, lag, cfg.followSlack())
+		if got := followRateBits(sets[1].bits, dilated, len(cand), lag); got != want {
+			t.Errorf("lag %d: follow rate %v, sparse %v", lag, got, want)
 		}
 	}
 }

@@ -1,7 +1,5 @@
 package classify
 
-import "sort"
-
 // Co-occurrence rate (COR, Section III-B2) and its lagged variant T-COR
 // (Section IV-B2). Invocation series are represented by their sorted
 // invoked-slot lists, which is all co-occurrence needs.
@@ -154,16 +152,4 @@ func WindowedFollowRate(candidate, target []int32, maxLag int32) float64 {
 		}
 	}
 	return float64(hits) / float64(len(candidate))
-}
-
-// InvokedSlotsFromSorted asserts xs is ascending (debug guard used by tests
-// and callers constructing slot lists manually).
-func InvokedSlotsFromSorted(xs []int32) []int32 {
-	if !sort.SliceIsSorted(xs, func(i, j int) bool { return xs[i] < xs[j] }) {
-		sorted := make([]int32, len(xs))
-		copy(sorted, xs)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		return sorted
-	}
-	return xs
 }

@@ -178,7 +178,7 @@ type Link struct {
 // conversion and sort. sorted must hold the same values as wts in ascending
 // order; the float statistics (CV, StdDev) still run over wts in original
 // order so their summation rounding matches the reference formulas exactly.
-func categorizeWTs(wts, sorted []int, cfg Config) (Profile, bool) {
+func categorizeWTs(wts, sorted []int, cfg Config, sc *actScratch) (Profile, bool) {
 	if len(wts) < cfg.MinWTs {
 		return Profile{}, false
 	}
@@ -189,12 +189,12 @@ func categorizeWTs(wts, sorted []int, cfg Config) (Profile, bool) {
 	var fwts []float64
 	isRegular := p95-p5 <= cfg.RegularSpread
 	if !isRegular {
-		fwts = stats.IntsToFloats(wts)
+		fwts = sc.floats(wts)
 		isRegular = stats.CoefficientOfVariation(fwts) <= cfg.RegularCV
 	}
 	if isRegular {
 		if fwts == nil {
-			fwts = stats.IntsToFloats(wts)
+			fwts = sc.floats(wts)
 		}
 		median := stats.MedianSortedInts(sorted)
 		return Profile{
@@ -208,36 +208,67 @@ func categorizeWTs(wts, sorted []int, cfg Config) (Profile, bool) {
 	return Profile{}, false
 }
 
-// sortedCopy returns xs sorted ascending without mutating it.
-func sortedCopy(xs []int) []int {
-	out := make([]int, len(xs))
-	copy(out, xs)
-	sort.Ints(out)
-	return out
+// actScratch is one worker's reusable buffers for the deterministic pass:
+// the extracted activity's runs, the sorted slack variants, the merged
+// variant, float copies for the dispersion statistics, and the forgetting
+// rule's run metadata. Nothing a Profile keeps points into it, so a worker
+// reuses it function after function; an activity that must outlive the
+// next function is cloned out (cloneActivity).
+type actScratch struct {
+	at, an []int    // extractWindow's active runs
+	wt     []int    // extractWindow's waiting times
+	sorted [3][]int // sorted copies of the slack variants
+	merged []int    // the merged slack variant
+	float  []float64
+	starts []int32 // seriesExtract.runStarts
+	evIdx  []int32 // seriesExtract.runEvIdx
+	prefix []int   // seriesExtract.prefixInv
+	cut    []int   // suffix's rebuilt AT/AN when a run straddles the cut
+}
+
+// floats returns xs converted to float64 in the scratch float buffer.
+func (sc *actScratch) floats(xs []int) []float64 {
+	sc.float = sc.float[:0]
+	for _, x := range xs {
+		sc.float = append(sc.float, float64(x))
+	}
+	return sc.float
+}
+
+// sortedCopy returns xs sorted ascending in sorted-variant buffer i,
+// without mutating xs.
+func (sc *actScratch) sortedCopy(i int, xs []int) []int {
+	sc.sorted[i] = append(sc.sorted[i][:0], xs...)
+	sort.Ints(sc.sorted[i])
+	return sc.sorted[i]
 }
 
 // removeTwoSorted returns sorted minus one occurrence each of a and b
-// (which must both be present), preserving order.
-func removeTwoSorted(sorted []int, a, b int) []int {
-	out := make([]int, 0, len(sorted)-1)
+// (which must both be present), preserving order, in sorted-variant buffer
+// i.
+func (sc *actScratch) removeTwoSorted(i int, sorted []int, a, b int) []int {
+	out := sc.sorted[i][:0]
 	ia := sort.SearchInts(sorted, a)
 	out = append(out, sorted[:ia]...)
 	out = append(out, sorted[ia+1:]...)
 	ib := sort.SearchInts(out, b)
-	return append(out[:ib], out[ib+1:]...)
+	out = append(out[:ib], out[ib+1:]...)
+	sc.sorted[i] = out
+	return out
 }
 
 // CategorizeDeterministic applies the five deterministic definitions of
 // Section IV-A in priority order to a dense invocation sequence. ok is
 // false when none match.
 func CategorizeDeterministic(counts []int, cfg Config) (Profile, bool) {
-	return categorizeActivity(series.Extract(counts), cfg)
+	return categorizeActivity(series.Extract(counts), cfg, new(actScratch))
 }
 
 // categorizeActivity is CategorizeDeterministic over a pre-extracted
 // Activity, letting the offline phase feed it from sparse event series
-// without materializing dense per-slot vectors.
-func categorizeActivity(act series.Activity, cfg Config) (Profile, bool) {
+// without materializing dense per-slot vectors. Its working buffers come
+// from sc.
+func categorizeActivity(act series.Activity, cfg Config, sc *actScratch) (Profile, bool) {
 	// 1. Always warm: invoked at every slot, or total inter-invocation idle
 	// at or below one-thousandth of the window. The paper's literal
 	// condition (2) would also admit a function invoked in one short dense
@@ -264,28 +295,28 @@ func categorizeActivity(act series.Activity, cfg Config) (Profile, bool) {
 	nv := 0
 	if len(wts) > 0 {
 		variants[0] = wts
-		sortedVariants[0] = sortedCopy(wts)
+		sortedVariants[0] = sc.sortedCopy(0, wts)
 		nv = 1
 	}
 	if len(wts) > 2 {
 		variants[1] = wts[1 : len(wts)-1]
-		sortedVariants[1] = removeTwoSorted(sortedVariants[0], wts[0], wts[len(wts)-1])
+		sortedVariants[1] = sc.removeTwoSorted(1, sortedVariants[0], wts[0], wts[len(wts)-1])
 		nv = 2
 	}
 	if nv > 0 {
 		base, sortedBase := variants[nv-1], sortedVariants[nv-1]
 		mode := series.MergeReferenceModeSorted(sortedBase)
-		merged := series.MergeSmallWTsWithMode(base, mode, cfg.SlackCloseTol, cfg.SlackSmallFrac)
-		if len(merged) > 0 && len(merged) != len(base) {
+		sc.merged = series.AppendMergedWTs(sc.merged[:0], base, mode, cfg.SlackCloseTol, cfg.SlackSmallFrac)
+		if merged := sc.merged; len(merged) > 0 && len(merged) != len(base) {
 			variants[nv] = merged
-			sortedVariants[nv] = sortedCopy(merged)
+			sortedVariants[nv] = sc.sortedCopy(nv, merged)
 			nv++
 		}
 	}
 
 	// 2. Regular.
 	for i, variant := range variants[:nv] {
-		if p, ok := categorizeWTs(variant, sortedVariants[i], cfg); ok {
+		if p, ok := categorizeWTs(variant, sortedVariants[i], cfg, sc); ok {
 			return p, true
 		}
 	}
@@ -309,12 +340,11 @@ func categorizeActivity(act series.Activity, cfg Config) (Profile, bool) {
 			for _, mc := range table[:n] {
 				modes = append(modes, mc.Value)
 			}
-			fw := stats.IntsToFloats(variant)
 			return Profile{
 				Type:     TypeApproRegular,
 				Values:   modes,
 				MedianWT: stats.MedianSortedInts(sortedVariants[i]),
-				StdWT:    stats.StdDev(fw),
+				StdWT:    stats.StdDev(sc.floats(variant)),
 				WTCount:  len(variant),
 			}, true
 		}
@@ -325,14 +355,13 @@ func categorizeActivity(act series.Activity, cfg Config) (Profile, bool) {
 		// variants[0] is the raw WT sequence whenever it is non-empty.
 		sorted := sortedVariants[0]
 		if stats.QuantileSortedInts(sorted, 0.9) <= cfg.DenseP90Max {
-			lo, hi, _ := stats.ModeRange(act.WT, cfg.DenseModes)
-			fw := stats.IntsToFloats(act.WT)
+			lo, hi, _ := stats.ModeRangeSorted(sorted, cfg.DenseModes)
 			return Profile{
 				Type:     TypeDense,
 				RangeLo:  lo,
 				RangeHi:  hi,
 				MedianWT: stats.MedianSortedInts(sorted),
-				StdWT:    stats.StdDev(fw),
+				StdWT:    stats.StdDev(sc.floats(act.WT)),
 				WTCount:  len(act.WT),
 			}, true
 		}

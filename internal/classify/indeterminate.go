@@ -1,7 +1,8 @@
 package classify
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/series"
 	"repro/internal/stats"
@@ -63,6 +64,8 @@ func scorePossible(invoked []int32, slots int, values []int, thetaPrewarm, theta
 		return cost
 	}
 	cost.ColdStarts = 1
+	type span struct{ lo, hi int }
+	spans := make([]span, 0, len(values))
 	for i := 1; i < len(invoked); i++ {
 		prev, cur := int(invoked[i-1]), int(invoked[i])
 		gap := cur - prev - 1
@@ -71,8 +74,7 @@ func scorePossible(invoked []int32, slots int, values []int, thetaPrewarm, theta
 		// Pre-load windows: [prev+v-thetaPrewarm, prev+v+thetaPrewarm] per
 		// predictive value v. The invocation is warm when it lands inside
 		// one; idle slots covered by windows before cur are waste.
-		type span struct{ lo, hi int }
-		var spans []span
+		spans = spans[:0]
 		for _, v := range values {
 			pred := prev + v
 			lo, hi := pred-thetaPrewarm, pred+thetaPrewarm
@@ -104,7 +106,8 @@ func scorePossible(invoked []int32, slots int, values []int, thetaPrewarm, theta
 		}
 		// Merged pre-load coverage inside the gap (waste beyond keep-alive).
 		if len(spans) > 0 {
-			sort.Slice(spans, func(a, b int) bool { return spans[a].lo < spans[b].lo })
+			// Equal-lo spans may land in any order: the union is the same.
+			slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
 			covered := 0
 			curLo, curHi := spans[0].lo, spans[0].hi
 			for _, s := range spans[1:] {
@@ -130,14 +133,23 @@ func scorePossible(invoked []int32, slots int, values []int, thetaPrewarm, theta
 // scoreCorrelated simulates the correlated strategy: each linked candidate
 // firing at slot c pre-loads the target during [c+lag-prewarm, c+lag+prewarm]
 // (clipped to c+1..), the window the online provision would hold it for. An
-// invocation is warm when some candidate's window covers it; window slots
-// not carrying a target invocation are waste (merged across fires).
-func scoreCorrelated(target []int32, candFires [][]int32, lags []int32, slots int, thetaPrewarm int32) StrategyCost {
+// invocation is warm when some candidate's window covers it; covered slots
+// not carrying a target invocation are waste. The windows are unioned in a
+// coverage bitset over the scored slots, so overlapping windows count once:
+// cold starts are the target slots outside the union, waste the union's
+// slots minus the covered target slots. cover is reusable scratch; it is
+// replaced when shorter than the slots need.
+func scoreCorrelated(target []int32, candFires [][]int32, lags []int32, slots int, thetaPrewarm int32, cover []uint64) StrategyCost {
 	if len(candFires) == 0 {
 		return StrategyCost{Feasible: false}
 	}
-	type span struct{ lo, hi int32 }
-	var spans []span
+	if words := slotWords(slots); len(cover) < words {
+		cover = make([]uint64, words)
+	} else {
+		cover = cover[:words]
+		clear(cover)
+	}
+	covered := 0 // union size
 	for i, fires := range candFires {
 		lag := int32(1)
 		if i < len(lags) && lags[i] > 0 {
@@ -151,50 +163,24 @@ func scoreCorrelated(target []int32, candFires [][]int32, lags []int32, slots in
 			if hi >= int32(slots) {
 				hi = int32(slots) - 1
 			}
-			if lo <= hi {
-				spans = append(spans, span{lo, hi})
+			for x := lo; x <= hi; x++ {
+				w, b := &cover[x>>6], uint64(1)<<(uint(x)&63)
+				if *w&b == 0 {
+					*w |= b
+					covered++
+				}
 			}
 		}
 	}
-	if len(spans) == 0 {
+	if covered == 0 {
 		return StrategyCost{Feasible: false}
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
-
-	// Merge spans; then score warm hits and waste in one sweep.
-	merged := spans[:1]
-	for _, s := range spans[1:] {
-		last := &merged[len(merged)-1]
-		if s.lo <= last.hi+1 {
-			if s.hi > last.hi {
-				last.hi = s.hi
-			}
+	cost := StrategyCost{Feasible: true, WastedMem: covered}
+	for _, t := range target {
+		if t >= 0 && int(t) < slots && cover[t>>6]&(1<<(uint(t)&63)) != 0 {
+			cost.WastedMem--
 		} else {
-			merged = append(merged, s)
-		}
-	}
-	cost := StrategyCost{Feasible: true}
-	targetSet := make(map[int32]bool, len(target))
-	for _, t := range target {
-		targetSet[t] = true
-	}
-	for _, t := range target {
-		warm := false
-		for _, s := range merged {
-			if t >= s.lo && t <= s.hi {
-				warm = true
-				break
-			}
-		}
-		if !warm {
 			cost.ColdStarts++
-		}
-	}
-	for _, s := range merged {
-		for x := s.lo; x <= s.hi; x++ {
-			if !targetSet[x] {
-				cost.WastedMem++
-			}
 		}
 	}
 	return cost
@@ -263,14 +249,15 @@ func AssignIndeterminate(counts []int, valStart int, links []Link, candFires [][
 	for _, s := range series.InvokedSlots(counts[valStart:]) {
 		valInvoked = append(valInvoked, int32(s))
 	}
-	return assignIndeterminateActivity(act, valInvoked, len(counts)-valStart, links, candFires, cfg)
+	return assignIndeterminateActivity(act, valInvoked, len(counts)-valStart, links, candFires, cfg, nil)
 }
 
 // assignIndeterminateActivity is AssignIndeterminate over pre-extracted
 // inputs: the function's full-window Activity and its validation-window
 // invoked slots (rebased to the validation start), letting the offline phase
-// skip the dense per-slot expansion entirely.
-func assignIndeterminateActivity(act series.Activity, valInvoked []int32, valSlots int, links []Link, candFires [][]int32, cfg Config) Profile {
+// skip the dense per-slot expansion entirely. cover is scoreCorrelated's
+// scratch (nil allocates).
+func assignIndeterminateActivity(act series.Activity, valInvoked []int32, valSlots int, links []Link, candFires [][]int32, cfg Config, cover []uint64) Profile {
 	possibleValues := stats.RepeatedValues(act.WT)
 
 	if len(valInvoked) == 0 {
@@ -298,7 +285,7 @@ func assignIndeterminateActivity(act series.Activity, valInvoked []int32, valSlo
 	}
 	costs := []StrategyCost{
 		scorePulsed(valInvoked, valSlots, cfg.ThetaGivenup(TypePulsed)),
-		scoreCorrelated(valInvoked, candFires, lags, valSlots, int32(prewarm)),
+		scoreCorrelated(valInvoked, candFires, lags, valSlots, int32(prewarm), cover),
 		scorePossible(valInvoked, valSlots, possibleValues, prewarm, cfg.ThetaGivenup(TypePossible)),
 	}
 	switch ChooseStrategy(costs, cfg.Alpha) {

@@ -1,6 +1,8 @@
 package classify
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -80,7 +82,7 @@ func TestScorePossibleInfeasible(t *testing.T) {
 func TestScoreCorrelated(t *testing.T) {
 	target := []int32{10, 20, 30}
 	cand := [][]int32{{8, 18, 28}}
-	cost := scoreCorrelated(target, cand, []int32{2}, 40, 2)
+	cost := scoreCorrelated(target, cand, []int32{2}, 40, 2, nil)
 	if !cost.Feasible {
 		t.Fatal("correlated with fires must be feasible")
 	}
@@ -97,17 +99,17 @@ func TestScoreCorrelated(t *testing.T) {
 func TestScoreCorrelatedMisses(t *testing.T) {
 	target := []int32{10, 35}
 	cand := [][]int32{{8}}
-	cost := scoreCorrelated(target, cand, []int32{2}, 50, 2)
+	cost := scoreCorrelated(target, cand, []int32{2}, 50, 2, nil)
 	if cost.ColdStarts != 1 {
 		t.Errorf("cold starts = %d, want 1 (35 unpredicted)", cost.ColdStarts)
 	}
 }
 
 func TestScoreCorrelatedInfeasible(t *testing.T) {
-	if cost := scoreCorrelated([]int32{1}, nil, nil, 10, 2); cost.Feasible {
+	if cost := scoreCorrelated([]int32{1}, nil, nil, 10, 2, nil); cost.Feasible {
 		t.Error("correlated without candidates must be infeasible")
 	}
-	if cost := scoreCorrelated([]int32{1}, [][]int32{{}}, []int32{1}, 10, 2); cost.Feasible {
+	if cost := scoreCorrelated([]int32{1}, [][]int32{{}}, []int32{1}, 10, 2, nil); cost.Feasible {
 		t.Error("correlated with only-empty candidates must be infeasible")
 	}
 }
@@ -116,7 +118,7 @@ func TestScoreCorrelatedDefaultLag(t *testing.T) {
 	// Missing or zero lag defaults to 1.
 	target := []int32{10}
 	cand := [][]int32{{9}}
-	cost := scoreCorrelated(target, cand, nil, 20, 0)
+	cost := scoreCorrelated(target, cand, nil, 20, 0, nil)
 	if cost.ColdStarts != 0 {
 		t.Errorf("cold starts = %d, want 0 (lag-1 window covers slot 10)", cost.ColdStarts)
 	}
@@ -285,5 +287,109 @@ func TestAssignIndeterminateQuietValidation(t *testing.T) {
 	p = AssignIndeterminate(counts3, 3000, nil, nil, cfg)
 	if p.Type != TypePulsed {
 		t.Errorf("lonely invocation -> %v, want pulsed", p.Type)
+	}
+}
+
+// scoreCorrelatedSpans is the span-merging scoreCorrelated the coverage
+// bitset replaced, kept as its oracle: windows are sorted by start and
+// merged, each target slot is looked up among the merged spans, and waste
+// counts the merged slots outside a target-slot set.
+func scoreCorrelatedSpans(target []int32, candFires [][]int32, lags []int32, slots int, thetaPrewarm int32) StrategyCost {
+	if len(candFires) == 0 {
+		return StrategyCost{Feasible: false}
+	}
+	type span struct{ lo, hi int32 }
+	var spans []span
+	for i, fires := range candFires {
+		lag := int32(1)
+		if i < len(lags) && lags[i] > 0 {
+			lag = lags[i]
+		}
+		for _, c := range fires {
+			lo, hi := c+lag-thetaPrewarm, c+lag+thetaPrewarm
+			if lo <= c {
+				lo = c + 1
+			}
+			if hi >= int32(slots) {
+				hi = int32(slots) - 1
+			}
+			if lo <= hi {
+				spans = append(spans, span{lo, hi})
+			}
+		}
+	}
+	if len(spans) == 0 {
+		return StrategyCost{Feasible: false}
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
+	merged := spans[:1]
+	for _, s := range spans[1:] {
+		last := &merged[len(merged)-1]
+		if s.lo <= last.hi+1 {
+			if s.hi > last.hi {
+				last.hi = s.hi
+			}
+		} else {
+			merged = append(merged, s)
+		}
+	}
+	cost := StrategyCost{Feasible: true}
+	targetSet := make(map[int32]bool, len(target))
+	for _, t := range target {
+		targetSet[t] = true
+	}
+	for _, t := range target {
+		warm := false
+		for _, s := range merged {
+			if t >= s.lo && t <= s.hi {
+				warm = true
+				break
+			}
+		}
+		if !warm {
+			cost.ColdStarts++
+		}
+	}
+	for _, s := range merged {
+		for x := s.lo; x <= s.hi; x++ {
+			if !targetSet[x] {
+				cost.WastedMem++
+			}
+		}
+	}
+	return cost
+}
+
+// TestScoreCorrelatedMatchesSpanOracle compares the coverage-bitset scoring
+// with the span-merging oracle on random validation windows: up to five
+// linked candidates at random lags, overlapping windows, windows clipped at
+// both ends, and a reused (dirty) cover buffer.
+func TestScoreCorrelatedMatchesSpanOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	randSlots := func(slots, k int) []int32 {
+		var out []int32
+		for x := 0; x < slots; x++ {
+			if rng.Intn(slots) < k {
+				out = append(out, int32(x))
+			}
+		}
+		return out
+	}
+	cover := make([]uint64, 4)
+	for iter := 0; iter < 2000; iter++ {
+		slots := 1 + rng.Intn(300)
+		target := randSlots(slots, rng.Intn(40))
+		fires := make([][]int32, rng.Intn(6))
+		lags := make([]int32, len(fires))
+		for i := range fires {
+			fires[i] = randSlots(slots, rng.Intn(40))
+			lags[i] = int32(rng.Intn(14)) - 2
+		}
+		prewarm := int32(rng.Intn(5)) - 1
+		want := scoreCorrelatedSpans(target, fires, lags, slots, prewarm)
+		got := scoreCorrelated(target, fires, lags, slots, prewarm, cover)
+		if got != want {
+			t.Fatalf("iter %d (slots %d, prewarm %d): %+v, oracle %+v", iter, slots, prewarm, got, want)
+		}
 	}
 }

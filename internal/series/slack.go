@@ -35,20 +35,16 @@ func MergeSmallWTs(wts []int, closeTol int, smallFrac float64) []int {
 	if len(wts) == 0 {
 		return nil
 	}
-	return MergeSmallWTsWithMode(wts, mergeReferenceMode(wts), closeTol, smallFrac)
+	return AppendMergedWTs(make([]int, 0, len(wts)), wts, mergeReferenceMode(wts), closeTol, smallFrac)
 }
 
-// MergeSmallWTsWithMode is MergeSmallWTs with the reference mode supplied by
-// the caller (equal to MergeReferenceModeSorted of the sorted sequence), for
-// callers that already hold a sorted copy.
-func MergeSmallWTsWithMode(wts []int, mode, closeTol int, smallFrac float64) []int {
-	if len(wts) == 0 {
-		return nil
-	}
+// AppendMergedWTs appends MergeSmallWTs(wts) to dst, with the reference
+// mode supplied by the caller (equal to MergeReferenceModeSorted of the
+// sorted sequence), for callers that already hold a sorted copy and reuse
+// their output buffer.
+func AppendMergedWTs(dst, wts []int, mode, closeTol int, smallFrac float64) []int {
 	if mode <= 0 {
-		out := make([]int, len(wts))
-		copy(out, wts)
-		return out
+		return append(dst, wts...)
 	}
 	isNearMode := func(wt int) bool {
 		d := wt - mode
@@ -61,29 +57,25 @@ func MergeSmallWTsWithMode(wts []int, mode, closeTol int, smallFrac float64) []i
 		return float64(wt) <= smallFrac*float64(mode) && !isNearMode(wt)
 	}
 
-	merged := make([]bool, len(wts)) // slot already absorbed into a near-mode WT
-	out := make([]int, 0, len(wts))
-	for i, wt := range wts {
-		if merged[i] {
-			continue
-		}
+	for i := 0; i < len(wts); i++ {
+		wt := wts[i]
 		if !isNearMode(wt) {
-			out = append(out, wt)
+			dst = append(dst, wt)
 			continue
 		}
 		// Absorb following small WTs into this near-mode WT. Each absorbed
 		// small gap also swallowed one active slot between the gaps, so the
-		// reconstructed period grows by (small WT + 1).
+		// reconstructed period grows by (small WT + 1). Absorption only
+		// reaches forward, so the scan resumes after the absorbed run: no WT
+		// is absorbed twice.
 		total := wt
-		j := i + 1
-		for j < len(wts) && isSmall(wts[j]) && !merged[j] {
-			total += wts[j] + 1
-			merged[j] = true
-			j++
+		for i+1 < len(wts) && isSmall(wts[i+1]) {
+			total += wts[i+1] + 1
+			i++
 		}
-		out = append(out, total)
+		dst = append(dst, total)
 	}
-	return out
+	return dst
 }
 
 // mergeReferenceMode picks the WT value the merge rule treats as "the mode":

@@ -148,3 +148,68 @@ func TestMergeSmallWTsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// mergeSmallWTsFlags is the merge rule as first written, with a per-WT
+// "already merged" flag, kept as the oracle of AppendMergedWTs's
+// skip-ahead scan.
+func mergeSmallWTsFlags(wts []int, mode, closeTol int, smallFrac float64) []int {
+	if mode <= 0 {
+		return append([]int(nil), wts...)
+	}
+	isNearMode := func(wt int) bool {
+		d := wt - mode
+		if d < 0 {
+			d = -d
+		}
+		return d <= closeTol
+	}
+	isSmall := func(wt int) bool {
+		return float64(wt) <= smallFrac*float64(mode) && !isNearMode(wt)
+	}
+	merged := make([]bool, len(wts))
+	var out []int
+	for i, wt := range wts {
+		if merged[i] {
+			continue
+		}
+		if !isNearMode(wt) {
+			out = append(out, wt)
+			continue
+		}
+		total := wt
+		j := i + 1
+		for j < len(wts) && isSmall(wts[j]) && !merged[j] {
+			total += wts[j] + 1
+			merged[j] = true
+			j++
+		}
+		out = append(out, total)
+	}
+	return out
+}
+
+// TestAppendMergedWTsMatchesFlagOracle checks the skip-ahead merge against
+// the flag-based oracle on random sequences built around a mode, and that
+// it appends to (rather than overwrites) the destination.
+func TestAppendMergedWTsMatchesFlagOracle(t *testing.T) {
+	f := func(raw []uint8, modeRaw uint8) bool {
+		mode := int(modeRaw%60) - 5
+		in := make([]int, len(raw))
+		for i, v := range raw {
+			switch v % 3 {
+			case 0:
+				in[i] = mode + int(v/3)%3 - 1 // near the mode
+			case 1:
+				in[i] = int(v/3) % 4 // small
+			default:
+				in[i] = int(v)
+			}
+		}
+		want := mergeSmallWTsFlags(in, mode, 1, 0.1)
+		got := AppendMergedWTs([]int{-7}, in, mode, 1, 0.1)
+		return got[0] == -7 && reflect.DeepEqual(got[1:], append([]int{}, want...))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}

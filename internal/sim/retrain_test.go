@@ -67,6 +67,91 @@ func TestRetrainWindowBeyondRecordedHistory(t *testing.T) {
 	}
 }
 
+// retrainWindowTwoCopy is the window builder the one-copy retrainWindow
+// replaced, kept as its oracle: Series.Window copies each part, and a window
+// straddling the training split concatenates them in a second copy.
+func retrainWindowTwoCopy(training, simTrace *trace.Trace, t, w int) *trace.Trace {
+	win := &trace.Trace{Slots: w, Functions: simTrace.Functions}
+	win.Series = make([]trace.Series, len(simTrace.Series))
+	a := t - w
+	for fid := range simTrace.Series {
+		if a >= 0 {
+			win.Series[fid] = simTrace.Series[fid].Window(int32(a), int32(t))
+			continue
+		}
+		var s trace.Series
+		if training != nil {
+			s = training.Series[fid].Window(int32(training.Slots+a), int32(training.Slots))
+		}
+		sim := simTrace.Series[fid].Window(0, int32(t))
+		if len(sim) > 0 {
+			out := make(trace.Series, 0, len(s)+len(sim))
+			out = append(out, s...)
+			for _, e := range sim {
+				out = append(out, trace.Event{Slot: e.Slot + int32(-a), Count: e.Count})
+			}
+			s = out
+		}
+		win.Series[fid] = s
+	}
+	return win
+}
+
+// TestRetrainWindowMatchesTwoCopyOracle pins the one-copy builder to the
+// two-copy oracle on a generated population, for windows that straddle the
+// training split (t < w), end exactly at it (t == w), lie inside the live
+// trace (t > w) and reach before recorded history; with a nil training
+// trace; and with functions admitted after training (nil training series
+// padded to the live population, as the serving daemon keeps them).
+func TestRetrainWindowMatchesTwoCopyOracle(t *testing.T) {
+	full, err := trace.Generate(trace.DefaultGeneratorConfig(300, 5, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	training, simTr := full.Split(3 * 1440)
+	// Daemon shape: the live trace admitted 40 functions training never
+	// saw; their training series are nil.
+	admitted := &trace.Trace{Slots: training.Slots, Functions: simTr.Functions,
+		Series: append(append([]trace.Series(nil), training.Series[:260]...), make([]trace.Series, 40)...)}
+
+	w := training.Slots
+	cases := []struct {
+		name     string
+		training *trace.Trace
+		t, w     int
+	}{
+		{"t<w", training, 1440, w},
+		{"t<w short window", training, 700, 1000},
+		{"t==w", training, 1440, 1440},
+		{"t>w", training, 2500, 1440},
+		{"before history", training, 100, w + 500},
+		{"nil training", nil, 1440, w},
+		{"nil training t>w", nil, 2000, 1000},
+		{"nil-padded admits", admitted, 1440, w},
+		{"empty window", training, 1440, 0},
+	}
+	for _, c := range cases {
+		got := retrainWindow(c.training, simTr, c.t, c.w)
+		want := retrainWindowTwoCopy(c.training, simTr, c.t, c.w)
+		if got.Slots != want.Slots || len(got.Series) != len(want.Series) {
+			t.Fatalf("%s: %d slots x %d series, want %d x %d", c.name, got.Slots, len(got.Series), want.Slots, len(want.Series))
+		}
+		events := 0
+		for fid := range want.Series {
+			events += len(want.Series[fid])
+			if !reflect.DeepEqual(got.Series[fid], want.Series[fid]) {
+				t.Fatalf("%s: f%d = %v, want %v", c.name, fid, got.Series[fid], want.Series[fid])
+			}
+			if s := got.Series[fid]; len(s) != cap(s) {
+				t.Fatalf("%s: f%d has len %d cap %d, want one exact-sized copy", c.name, fid, len(s), cap(s))
+			}
+		}
+		if events == 0 && c.w > 0 {
+			t.Fatalf("%s: window holds no events; the case exercises nothing", c.name)
+		}
+	}
+}
+
 // TestRetrainEffectiveWindowDefaults pins the RetrainWindow resolution
 // rule: explicit value wins, else the training window length, else
 // RetrainEvery.

@@ -1,6 +1,10 @@
 package stats
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // ModeCount is one entry of a frequency table: a value and how many times it
 // occurs.
@@ -41,11 +45,12 @@ func FrequencyTableSorted(sorted []int) []ModeCount {
 			runStart = i
 		}
 	}
-	sort.Slice(table, func(i, j int) bool {
-		if table[i].Count != table[j].Count {
-			return table[i].Count > table[j].Count
+	// Values are distinct, so the order is total and any sort yields it.
+	slices.SortFunc(table, func(a, b ModeCount) int {
+		if a.Count != b.Count {
+			return cmp.Compare(b.Count, a.Count)
 		}
-		return table[i].Value < table[j].Value
+		return cmp.Compare(a.Value, b.Value)
 	})
 	return table
 }
@@ -93,11 +98,33 @@ func ModesCoverage(xs []int, n int) int {
 // ModeRange returns [min, max] over the k most frequent values of xs. This is
 // the "dense" type's predictive-value range. ok is false when xs is empty.
 func ModeRange(xs []int, k int) (min, max int, ok bool) {
-	modes := Modes(xs, k)
-	if len(modes) == 0 {
+	if len(xs) == 0 {
 		return 0, 0, false
 	}
-	min, max = MinMaxInts(modes)
+	sorted := make([]int, len(xs))
+	copy(sorted, xs)
+	sort.Ints(sorted)
+	return ModeRangeSorted(sorted, k)
+}
+
+// ModeRangeSorted is ModeRange over an already ascending-sorted slice.
+func ModeRangeSorted(sorted []int, k int) (min, max int, ok bool) {
+	table := FrequencyTableSorted(sorted)
+	if k > len(table) {
+		k = len(table)
+	}
+	if k <= 0 {
+		return 0, 0, false
+	}
+	min, max = table[0].Value, table[0].Value
+	for _, mc := range table[1:k] {
+		if mc.Value < min {
+			min = mc.Value
+		}
+		if mc.Value > max {
+			max = mc.Value
+		}
+	}
 	return min, max, true
 }
 

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -125,3 +127,31 @@ func TestModesCoverageMonotoneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestModeRangeSortedMatchesModes checks the sorted-input ModeRange against
+// its definition — min and max over Modes(xs, k) — on random inputs.
+func TestModeRangeSortedMatchesModes(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for iter := 0; iter < 500; iter++ {
+		xs := make([]int, rng.Intn(30))
+		for i := range xs {
+			xs[i] = rng.Intn(12)
+		}
+		k := rng.Intn(5)
+		var wantLo, wantHi int
+		modes := Modes(xs, k)
+		wantOK := len(modes) > 0
+		if wantOK {
+			wantLo, wantHi = MinMaxInts(modes)
+		}
+		sorted := append([]int(nil), xs...)
+		sort.Ints(sorted)
+		for _, got := range [][3]any{pack(ModeRange(xs, k)), pack(ModeRangeSorted(sorted, k))} {
+			if got != [3]any{wantLo, wantHi, wantOK} {
+				t.Fatalf("xs=%v k=%d: got %v, want (%d, %d, %v)", xs, k, got, wantLo, wantHi, wantOK)
+			}
+		}
+	}
+}
+
+func pack(lo, hi int, ok bool) [3]any { return [3]any{lo, hi, ok} }

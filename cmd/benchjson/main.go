@@ -287,7 +287,7 @@ type CacheSweepResult struct {
 	WarmRestartMs float64 `json:"warm_restart_ms,omitempty"`
 	Hits          int64   `json:"cache_hits"`
 	Misses        int64   `json:"cache_misses"`
-	ColdDiskHits  int64   `json:"cold_disk_hits,omitempty"` // non-zero: -cacheDir was pre-populated and cold_ms is disk-warm, not cold
+	ColdDiskHits  int64   `json:"cold_disk_hits,omitempty"` // non-zero: -cacheDir was pre-populated (say, by a killed run this one resumed) and cold_ms is disk-warm, not cold
 	DiskHits      int64   `json:"disk_hits,omitempty"`
 	ResultsMatch  bool    `json:"results_match"`
 
@@ -298,10 +298,6 @@ type CacheSweepResult struct {
 	// processes, the cross-run half of the completes ⇒ bit-identical
 	// invariant.
 	ResultsHash string `json:"results_hash,omitempty"`
-	// ResumedUnits counts the completed units replayed from a previous
-	// process's sweep journal (<cacheDir>/sweep.journal): non-zero means
-	// this run resumed a killed one and only re-simulated the rest.
-	ResumedUnits int `json:"resumed_units,omitempty"`
 	// FaultSeed / FaultsInjected record the -faults schedule this sweep ran
 	// under (0 / absent: clean run).
 	FaultSeed      int64 `json:"fault_seed,omitempty"`
@@ -487,7 +483,7 @@ func (h *faultHook) BeforeShard(shard, attempt int) {
 // cacheSweepOpts carries the fault-tolerance knobs of runCacheSweep.
 type cacheSweepOpts struct {
 	dir        string          // disk-backed entry directory ("" = in-memory only)
-	stop       <-chan struct{} // closed on SIGINT/SIGTERM: drain in-flight shards, flush journal
+	stop       <-chan struct{} // closed on SIGINT/SIGTERM: drain in-flight shards, then return
 	faultSeed  int64           // non-zero: run under faultinject.Default() with this seed
 	shardDelay time.Duration   // artificial per-shard delay (kill-window widener)
 	panicShard int             // >= 0: force one panic on this shard's first attempt
@@ -671,9 +667,9 @@ func runMegaPoint(scenario string, n, shards int, seed int64, stop <-chan struct
 // theta_prewarm sweep (the Figure 13a shape) cold, then warm, through one
 // cache. With o.dir the sweep runs streamed with a disk-backed cache and
 // adds a restart-simulating pass: a fresh in-memory cache over the same
-// entry directory, so every shard outcome restores from disk. A sweep
-// journal (<dir>/sweep.journal) records every completed unit, so a killed
-// run resumes — the rerun re-simulates only un-journaled shards. o.faultSeed
+// entry directory, so every shard outcome restores from disk. Every
+// completed unit is a committed disk entry, so a killed run resumes — the
+// rerun restores those from disk and re-simulates only the rest. o.faultSeed
 // runs the whole thing under deterministic injected faults; any run that
 // completes must still report the same results_hash as a clean run.
 func runCacheSweep(scales []int, shards int, seed int64, o cacheSweepOpts) ([]CacheSweepResult, error) {
@@ -689,8 +685,7 @@ func runCacheSweep(scales []int, shards int, seed int64, o cacheSweepOpts) ([]Ca
 	return out, nil
 }
 
-// runCacheScale runs one scale of the cache sweep (split out so the sweep
-// journal can be flushed and closed per scale, whatever path exits).
+// runCacheScale runs one scale of the cache sweep.
 func runCacheScale(n int, thetas []int, shards int, seed int64, o cacheSweepOpts) (CacheSweepResult, error) {
 	s := experiments.SparseSettings(n, seed)
 
@@ -704,7 +699,6 @@ func runCacheScale(n int, thetas []int, shards int, seed int64, o cacheSweepOpts
 	}
 
 	var disk *sim.DiskCache
-	var manifest *sim.SweepManifest
 	newSweep := func(cache *sim.ShardCache) (*sim.Sweep, error) {
 		if o.dir == "" {
 			_, train, simTr, err := experiments.BuildWorkload(s)
@@ -722,7 +716,6 @@ func runCacheScale(n int, thetas []int, shards int, seed int64, o cacheSweepOpts
 			cache = sim.NewShardCache()
 		}
 		cache.AttachDisk(disk)
-		cache.AttachManifest(manifest)
 		return sim.NewStreamedSweep(src, sim.Options{
 			Cache: cache, Stop: o.stop, FaultHook: hook})
 	}
@@ -737,17 +730,6 @@ func runCacheScale(n int, thetas []int, shards int, seed int64, o cacheSweepOpts
 		}
 		if err != nil {
 			return CacheSweepResult{}, err
-		}
-		if manifest, err = sim.OpenSweepManifest(filepath.Join(o.dir, "sweep.journal")); err != nil {
-			return CacheSweepResult{}, err
-		}
-		// Flush whatever this scale completed on every exit — the clean
-		// return, an error, and the drained SIGINT/SIGTERM path alike — so
-		// a rerun with the same flags resumes from it.
-		defer manifest.Close()
-		if rec := manifest.Recovered(); rec > 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: resume: journal replayed %d completed units (%d torn lines dropped); only un-journaled shards re-simulate\n",
-				rec, manifest.Dropped())
 		}
 	}
 	sweep, err := newSweep(nil)
@@ -807,9 +789,6 @@ func runCacheScale(n int, thetas []int, shards int, seed int64, o cacheSweepOpts
 		ColdMs: coldMs, WarmMs: warmMs, ColdDiskHits: coldSt.DiskHits,
 		Hits: st.Hits, Misses: st.Misses, ResultsMatch: match,
 		ResultsHash: resultsHash(coldRes), FaultSeed: o.faultSeed,
-	}
-	if manifest != nil {
-		r.ResumedUnits = manifest.Recovered()
 	}
 	if o.dir != "" {
 		// Restart pass: nothing from this process's in-memory cache may
@@ -885,7 +864,7 @@ func main() {
 	megaScenario := flag.String("megaScenario", "flashcrowd", "library scenario applied to the -mega point (empty: stationary sparse)")
 	cacheSweep := flag.String("cacheSweep", "", "comma-separated population sizes for the cold-vs-warm sweep-cache measurement (empty: skip)")
 	cacheShards := flag.Int("cacheShards", 8, "shard count for the sweep-cache measurement")
-	cacheDir := flag.String("cacheDir", "", "back the -cacheSweep cache with this on-disk entry directory: the sweep runs streamed, journals completed units to <dir>/sweep.journal (kill + rerun resumes), and adds a warm-after-restart pass (fresh in-memory cache, same directory)")
+	cacheDir := flag.String("cacheDir", "", "back the -cacheSweep cache with this on-disk entry directory: the sweep runs streamed, every completed unit is a committed entry there (kill + rerun resumes from them), and adds a warm-after-restart pass (fresh in-memory cache, same directory)")
 	serveBench := flag.Bool("serve", false, "add the serving-mode benchmark: an in-process spes-serve daemon ingesting a flash-crowd replay over HTTP, nominal and under forced decision-shedding, recording decision-latency percentiles, events/sec, and shed counters")
 	ingestCSV := flag.String("ingest", "", "add the real-trace ingestion benchmark: stream this Azure-format CSV into a temp columnar shard store (cold), reopen it (warm), and record the policy table simulated from the store (empty: skip)")
 	ingestShards := flag.Int("ingestShards", 4, "store shard count for the -ingest benchmark")
@@ -924,15 +903,15 @@ func main() {
 	}
 
 	// SIGINT/SIGTERM close stop: the in-process sweeps drain their in-flight
-	// shards (every completed shard is cached and journaled), flush the
-	// journal on the way out, and the process exits cleanly — rerunning with
-	// the same flags resumes. A second signal kills the old-fashioned way.
+	// shards (every completed shard is cached, and with -cacheDir on disk)
+	// and the process exits cleanly — rerunning with the same flags resumes.
+	// A second signal kills the old-fashioned way.
 	stop := make(chan struct{})
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sigc
-		fmt.Fprintf(os.Stderr, "benchjson: signal received; draining in-flight shards and flushing the sweep journal...\n")
+		fmt.Fprintf(os.Stderr, "benchjson: signal received; draining in-flight shards...\n")
 		close(stop)
 		signal.Stop(sigc)
 	}()
@@ -985,11 +964,12 @@ func main() {
 		os.Exit(1)
 	}
 
-	// A drained interruption is a clean, resumable exit (completed shards
-	// are journaled), reported with the conventional 130.
+	// A drained interruption is a clean exit, reported with the
+	// conventional 130; with -cacheDir the completed shards are committed
+	// entries, so a rerun resumes from them.
 	fail := func(what string, err error) {
 		if errors.Is(err, sim.ErrInterrupted) {
-			fmt.Fprintf(os.Stderr, "benchjson: %s interrupted; completed shards are journaled — rerun with the same flags to resume\n", what)
+			fmt.Fprintf(os.Stderr, "benchjson: %s interrupted; with -cacheDir, completed shards are on disk — rerun with the same flags to resume\n", what)
 			os.Exit(130)
 		}
 		fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", what, err)

@@ -1,7 +1,7 @@
-// Kill-and-resume proof: a sweep process SIGKILLed mid-run leaves a
-// journal + disk cache from which a rerun with the same flags completes
-// bit-identical to a never-interrupted run, re-simulating only the units
-// the dead process had not journaled. The sweep runs in a child process
+// Kill-and-resume proof: a sweep process SIGKILLed mid-run leaves a disk
+// cache from which a rerun with the same flags completes bit-identical to a
+// never-interrupted run, restoring every unit the dead process committed
+// and re-simulating only the rest. The sweep runs in a child process
 // (re-exec of this test binary) so the kill is a real SIGKILL — no
 // deferred cleanup, no flush on the way out.
 package main
@@ -53,14 +53,8 @@ func TestFaultToleranceHelperProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	man, err := sim.OpenSweepManifest(filepath.Join(dir, "sweep.journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer man.Close()
 	cache := sim.NewShardCache()
 	cache.AttachDisk(disk)
-	cache.AttachManifest(man)
 	var hook sim.ShardFaultHook
 	if delayMs > 0 {
 		hook = delayHook(time.Duration(delayMs) * time.Millisecond)
@@ -86,15 +80,15 @@ func TestFaultToleranceHelperProcess(t *testing.T) {
 		}
 	}
 	st := cache.Stats()
-	line := fmt.Sprintf("%016x %d %d\n", h.Sum64(), man.Recovered(), st.DiskHits)
+	line := fmt.Sprintf("%016x %d\n", h.Sum64(), st.DiskHits)
 	if err := os.WriteFile(os.Getenv(ftOutEnv), []byte(line), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // runHelper re-execs this test binary as the sweep child and parses its
-// report: results hash, units replayed from the journal, disk hits.
-func runHelper(t *testing.T, dir string, delayMs int) (hash string, resumed, diskHits int) {
+// report: results hash and disk hits.
+func runHelper(t *testing.T, dir string, delayMs int) (hash string, diskHits int) {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
@@ -114,24 +108,33 @@ func runHelper(t *testing.T, dir string, delayMs int) (hash string, resumed, dis
 		t.Fatalf("helper wrote no report: %v", err)
 	}
 	f := strings.Fields(string(b))
-	if len(f) != 3 {
+	if len(f) != 2 {
 		t.Fatalf("malformed helper report %q", b)
 	}
-	resumed, _ = strconv.Atoi(f[1])
-	diskHits, _ = strconv.Atoi(f[2])
-	return f[0], resumed, diskHits
+	diskHits, _ = strconv.Atoi(f[1])
+	return f[0], diskHits
+}
+
+// committedEntries counts the disk cache entries renamed into place in dir
+// (temp files of in-flight writes do not match).
+func committedEntries(t *testing.T, dir string) int {
+	t.Helper()
+	m, err := filepath.Glob(filepath.Join(dir, "shard-*.sce"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(m)
 }
 
 func TestKillAndResumeBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses; skipped in -short")
 	}
-	cleanHash, _, _ := runHelper(t, t.TempDir(), 0)
+	cleanHash, _ := runHelper(t, t.TempDir(), 0)
 
-	// Start the same sweep slowed down, wait until it has journaled at
-	// least two units, and SIGKILL it — no drain, no flush.
+	// Start the same sweep slowed down, wait until it has committed at
+	// least two entries, and SIGKILL it — no drain, no cleanup.
 	dir := t.TempDir()
-	journal := filepath.Join(dir, "sweep.journal")
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
@@ -144,39 +147,30 @@ func TestKillAndResumeBitIdentical(t *testing.T) {
 	if err := victim.Start(); err != nil {
 		t.Fatal(err)
 	}
-	journaledAtKill := 0
 	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		if b, err := os.ReadFile(journal); err == nil {
-			if n := strings.Count(string(b), "\n"); n >= 2 {
-				journaledAtKill = n
-				break
-			}
-		}
+	for time.Now().Before(deadline) && committedEntries(t, dir) < 2 {
 		time.Sleep(25 * time.Millisecond)
-	}
-	if journaledAtKill == 0 {
-		victim.Process.Kill()
-		victim.Wait()
-		t.Fatal("victim journaled nothing within 30s; cannot stage a mid-run kill")
 	}
 	if err := victim.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
 	victim.Wait() // reap; a SIGKILLed child reports an error by design
+	// Counted after the reap: entries are renamed into place atomically, so
+	// every file present now is a whole entry the rerun must restore.
+	committedAtKill := committedEntries(t, dir)
+	if committedAtKill < 2 {
+		t.Fatalf("victim committed %d entries within 30s; cannot stage a mid-run kill", committedAtKill)
+	}
 
-	// The rerun must replay the dead process's journal (a SIGKILL can tear
-	// at most the final line) and finish bit-identical to the clean run.
-	resumeHash, resumed, diskHits := runHelper(t, dir, 0)
+	// The rerun must restore every committed entry from disk and finish
+	// bit-identical to the clean run.
+	resumeHash, diskHits := runHelper(t, dir, 0)
+	t.Logf("killed with %d committed entries; rerun restored %d from disk", committedAtKill, diskHits)
 	if resumeHash != cleanHash {
 		t.Errorf("resumed run hash %s != clean run hash %s — resume changed results", resumeHash, cleanHash)
 	}
-	if resumed < journaledAtKill-1 || resumed < 1 {
-		t.Errorf("resume replayed %d units, want >= %d journaled at kill time (minus at most one torn line)",
-			resumed, journaledAtKill-1)
-	}
-	if diskHits < resumed-1 {
-		t.Errorf("resumed cold pass restored %d entries from disk, want >= %d (journaled units minus at most one damaged entry)",
-			diskHits, resumed-1)
+	if diskHits < committedAtKill {
+		t.Errorf("resumed run restored %d entries from disk, want >= %d committed at kill time",
+			diskHits, committedAtKill)
 	}
 }

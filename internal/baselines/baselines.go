@@ -53,13 +53,13 @@ func (l *loadedSet) remove(f trace.FuncID) {
 // takeDeltas returns the flips logged since the previous call and resets the
 // log; the slice is valid until the set's next mutation. A nil receiver
 // (policy not yet initialized) has no flips to report.
-func (l *loadedSet) takeDeltas() ([]trace.FuncID, bool) {
+func (l *loadedSet) takeDeltas() []trace.FuncID {
 	if l == nil {
-		return nil, true
+		return nil
 	}
 	d := l.deltas
 	l.deltas = l.deltas[:0]
-	return d, true
+	return d
 }
 
 // agenda schedules per-slot callbacks keyed by an owner id and a sequence

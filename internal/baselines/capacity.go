@@ -62,7 +62,7 @@ func (s *faasCacheShard) LoadedCount() int { return s.gdsf.set.count }
 // TakeLoadDeltas implements sim.LoadDeltaTracker. Arbiter evictions land in
 // the same delta log as Tick admissions, so the driver's slot accounting
 // sees them as one slot's flips.
-func (s *faasCacheShard) TakeLoadDeltas() ([]trace.FuncID, bool) { return s.gdsf.set.takeDeltas() }
+func (s *faasCacheShard) TakeLoadDeltas() []trace.FuncID { return s.gdsf.set.takeDeltas() }
 
 // Capacity implements sim.CapacityPolicy.
 func (p *LCS) Capacity() int { return p.capacity }
@@ -102,7 +102,7 @@ func (s *lcsShard) Loaded(f trace.FuncID) bool { return s.lru.set.has(f) }
 func (s *lcsShard) LoadedCount() int { return s.lru.set.count }
 
 // TakeLoadDeltas implements sim.LoadDeltaTracker.
-func (s *lcsShard) TakeLoadDeltas() ([]trace.FuncID, bool) { return s.lru.set.takeDeltas() }
+func (s *lcsShard) TakeLoadDeltas() []trace.FuncID { return s.lru.set.takeDeltas() }
 
 // Shard-cache config hashing (sim.ConfigHasher). Capacity policies hash
 // like every other policy so sweep tooling can fingerprint their configs —

@@ -270,4 +270,4 @@ func (p *Defuse) Loaded(f trace.FuncID) bool { return p.set.has(f) }
 func (p *Defuse) LoadedCount() int { return p.set.count }
 
 // TakeLoadDeltas implements sim.LoadDeltaTracker.
-func (p *Defuse) TakeLoadDeltas() ([]trace.FuncID, bool) { return p.set.takeDeltas() }
+func (p *Defuse) TakeLoadDeltas() []trace.FuncID { return p.set.takeDeltas() }

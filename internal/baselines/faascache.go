@@ -195,4 +195,4 @@ func (h *cacheHeap) Pop() any {
 }
 
 // TakeLoadDeltas implements sim.LoadDeltaTracker.
-func (p *FaaSCache) TakeLoadDeltas() ([]trace.FuncID, bool) { return p.gdsf.set.takeDeltas() }
+func (p *FaaSCache) TakeLoadDeltas() []trace.FuncID { return p.gdsf.set.takeDeltas() }

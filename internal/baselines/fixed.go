@@ -157,4 +157,4 @@ func (p *FixedKeepAlive) Loaded(f trace.FuncID) bool { return p.set.has(f) }
 func (p *FixedKeepAlive) LoadedCount() int { return p.set.count }
 
 // TakeLoadDeltas implements sim.LoadDeltaTracker.
-func (p *FixedKeepAlive) TakeLoadDeltas() ([]trace.FuncID, bool) { return p.set.takeDeltas() }
+func (p *FixedKeepAlive) TakeLoadDeltas() []trace.FuncID { return p.set.takeDeltas() }

@@ -376,4 +376,4 @@ func (p *Hybrid) String() string {
 }
 
 // TakeLoadDeltas implements sim.LoadDeltaTracker.
-func (p *Hybrid) TakeLoadDeltas() ([]trace.FuncID, bool) { return p.set.takeDeltas() }
+func (p *Hybrid) TakeLoadDeltas() []trace.FuncID { return p.set.takeDeltas() }

@@ -171,4 +171,4 @@ func (p *LCS) Loaded(f trace.FuncID) bool { return p.lru.set.has(f) }
 func (p *LCS) LoadedCount() int { return p.lru.set.count }
 
 // TakeLoadDeltas implements sim.LoadDeltaTracker.
-func (p *LCS) TakeLoadDeltas() ([]trace.FuncID, bool) { return p.lru.set.takeDeltas() }
+func (p *LCS) TakeLoadDeltas() []trace.FuncID { return p.lru.set.takeDeltas() }

@@ -48,8 +48,8 @@ func drainCompare(t *testing.T, slot int, invs []trace.FuncCount, a, b *SPES) {
 	t.Helper()
 	a.Tick(slot, invs)
 	b.Tick(slot, invs)
-	da, _ := a.TakeLoadDeltas()
-	db, _ := b.TakeLoadDeltas()
+	da := a.TakeLoadDeltas()
+	db := b.TakeLoadDeltas()
 	if len(da) != len(db) {
 		t.Fatalf("slot %d: %d vs %d load deltas", slot, len(da), len(db))
 	}

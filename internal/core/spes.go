@@ -222,10 +222,10 @@ func (s *SPES) LoadedCount() int { return s.loadedCount }
 
 // TakeLoadDeltas implements sim.LoadDeltaTracker: every function whose
 // loaded state flipped since the previous call, valid until the next Tick.
-func (s *SPES) TakeLoadDeltas() ([]trace.FuncID, bool) {
+func (s *SPES) TakeLoadDeltas() []trace.FuncID {
 	d := s.deltas
 	s.deltas = s.deltas[:0]
-	return d, true
+	return d
 }
 
 // TypeOf implements sim.TypeTagger.

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/faultinject"
+	"repro/internal/retry"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -39,12 +40,12 @@ var thetas = []int{1, 3, 10}
 func miniSweep(t *testing.T, train, simTr *trace.Trace, disk *sim.DiskCache, hook sim.ShardFaultHook) []*sim.Result {
 	t.Helper()
 	var out []*sim.Result
-	retry := sim.RetryPolicy{BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
+	backoff := retry.Policy{BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
 	for pass := 0; pass < 2; pass++ {
 		cache := sim.NewShardCache()
 		cache.AttachDisk(disk)
 		sweep, err := sim.NewSweep(train, simTr, sim.Options{
-			Shards: shards, Cache: cache, FaultHook: hook, Retry: retry})
+			Shards: shards, Cache: cache, FaultHook: hook, Retry: backoff})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,6 +36,18 @@ type shardEntry struct {
 	global []trace.FuncID
 }
 
+// fits reports whether every global id of the entry indexes a population
+// of n functions. The checksum proves an entry is the bytes its writer
+// wrote, not that the writer mapped ids into this population.
+func (e *shardEntry) fits(n int) bool {
+	for _, g := range e.global {
+		if g < 0 || int(g) >= n {
+			return false
+		}
+	}
+	return true
+}
+
 // bytes estimates the entry's in-memory footprint, the unit of the cache's
 // byte budget. An estimate is fine: the budget bounds growth, it is not an
 // allocator.
@@ -84,8 +96,7 @@ type ShardCache struct {
 	maxEntries int
 	maxBytes   int64
 
-	disk     *DiskCache
-	manifest *SweepManifest
+	disk *DiskCache
 
 	hits      int64
 	misses    int64
@@ -156,18 +167,6 @@ func (c *ShardCache) AttachDisk(d *DiskCache) {
 	c.diskDisabled = false
 }
 
-// AttachManifest journals every unit this cache completes (fresh stores
-// and disk restores alike) to m, giving a sweep its checkpoint/resume
-// record: on restart, units present in the manifest and restorable from
-// the disk tier replay instead of re-simulating, and the manifest tells
-// the caller how much of the sweep was already done. Attach before
-// running.
-func (c *ShardCache) AttachManifest(m *SweepManifest) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.manifest = m
-}
-
 // vetPolicy refuses capacity-coupled policies: their per-shard outcomes
 // depend on cross-shard state (the global budget and the shared clock), so
 // the cache's (policy, config, trace fingerprint, slots) key does not
@@ -215,14 +214,7 @@ func (c *ShardCache) lookup(key shardKey) *shardEntry {
 		c.insertLocked(key, ent)
 		c.hits++
 		c.diskHits++
-		m := c.manifest
 		c.mu.Unlock()
-		if m != nil {
-			// A restored unit is a completed unit: journal it so a manifest
-			// opened against a pre-populated cache directory converges on
-			// the truth instead of under-reporting.
-			m.record(key)
-		}
 		return ent
 	}
 	c.misses++
@@ -265,11 +257,7 @@ func (c *ShardCache) store(key shardKey, ent *shardEntry) {
 	}
 	c.mu.Lock()
 	c.insertLocked(key, ent)
-	m := c.manifest
 	c.mu.Unlock()
-	if m != nil {
-		m.record(key)
-	}
 }
 
 // insertLocked puts (key, ent) at the front of the LRU, replacing any

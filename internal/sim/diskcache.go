@@ -519,20 +519,32 @@ func decodeEntry(wantKey shardKey, data []byte) (*shardEntry, error) {
 	res.EMCRSum = math.Float64frombits(r.u64())
 	res.EMCRSlots = r.i64()
 	res.Overhead = time.Duration(r.i64())
-	if r.u8() == 1 {
+	if typed := r.u8(); typed > 1 {
+		return nil, fmt.Errorf("sim: disk entry types flag %d", typed)
+	} else if typed == 1 {
 		nd := int(r.u32())
 		if r.err == nil && (nd < 0 || nd > (len(body)-r.off)/4) {
 			return nil, fmt.Errorf("sim: disk entry type dictionary %d exceeds payload", nd)
 		}
 		dict := make([]string, 0, max(nd, 0))
+		seen := make(map[string]bool)
 		for i := 0; i < nd && r.err == nil; i++ {
-			dict = append(dict, r.str())
+			label := r.str()
+			if seen[label] {
+				return nil, fmt.Errorf("sim: disk entry type dictionary repeats %q", label)
+			}
+			seen[label] = true
+			dict = append(dict, label)
 		}
 		w := indexWidth(nd)
 		nt := int(r.u32())
 		if r.err == nil && nt >= 0 && nt <= (len(body)-r.off)/w {
 			blk := r.take(w * nt)
 			res.Types = make([]string, nt)
+			// The encoder numbers distinct labels in first-use order, so an
+			// index may only name a seen label or the next new one; with no
+			// unused labels, an accepted entry re-encodes to the same bytes.
+			fresh := 0
 			for i := range res.Types {
 				var v uint32
 				switch w {
@@ -543,10 +555,16 @@ func decodeEntry(wantKey shardKey, data []byte) (*shardEntry, error) {
 				default:
 					v = binary.LittleEndian.Uint32(blk[i*4:])
 				}
-				if int(v) >= len(dict) {
-					return nil, fmt.Errorf("sim: disk entry type index %d outside dictionary of %d", v, len(dict))
+				if int(v) > fresh || int(v) >= len(dict) {
+					return nil, fmt.Errorf("sim: disk entry type index %d out of first-use order (next new %d of %d)", v, fresh, len(dict))
+				}
+				if int(v) == fresh {
+					fresh++
 				}
 				res.Types[i] = dict[v]
+			}
+			if fresh != len(dict) {
+				return nil, fmt.Errorf("sim: disk entry type dictionary has %d unused labels", len(dict)-fresh)
 			}
 		} else if r.err == nil {
 			return nil, fmt.Errorf("sim: disk entry type count %d exceeds payload", nt)
@@ -578,6 +596,19 @@ func decodeEntry(wantKey shardKey, data []byte) (*shardEntry, error) {
 	}
 	if r.off != len(body) {
 		return nil, fmt.Errorf("sim: disk entry has %d trailing bytes", len(body)-r.off)
+	}
+	// Shape rules: one slot-log row (loaded and active alike) per simulated
+	// slot, one global id and, when typed, one label per function. The
+	// merge indexes by these lengths outside any per-shard recovery, so a
+	// checksummed but misshapen entry (a buggy or foreign writer) must be a
+	// miss, not a crash.
+	if res.Slots != wantKey.slots || len(log.loaded) != wantKey.slots {
+		return nil, fmt.Errorf("sim: disk entry covers %d slots with a %d-slot log, want %d",
+			res.Slots, len(log.loaded), wantKey.slots)
+	}
+	if len(global) != len(res.PerFunc) || (res.Types != nil && len(res.Types) != len(res.PerFunc)) {
+		return nil, fmt.Errorf("sim: disk entry maps %d global ids and %d labels for %d functions",
+			len(global), len(res.Types), len(res.PerFunc))
 	}
 	return &shardEntry{res: res, log: log, global: global}, nil
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -265,4 +266,176 @@ func TestOpenDiskCacheCreatesDir(t *testing.T) {
 func restamp(buf []byte) {
 	binary.LittleEndian.PutUint32(buf[len(buf)-4:],
 		crc32.Checksum(buf[:len(buf)-4], castagnoli))
+}
+
+// peekKey reads the key block of an encoded entry without verifying
+// anything, so a test can hand decodeEntry the key the bytes claim (a
+// truncated key block yields a partial key, which then fails to match).
+func peekKey(data []byte) shardKey {
+	r := &entryReader{b: data, off: len(diskMagic) + 8}
+	return shardKey{policy: r.str(), config: r.u64(), trace: r.u64(), slots: int(r.u32())}
+}
+
+// misshapenEntries returns checksummed entries that every earlier check
+// accepts but that are not what encodeEntry writes for a shard of their
+// key: shapes the merge would index past, and non-canonical type
+// dictionaries that would not re-encode to the same bytes.
+func misshapenEntries() map[string][]byte {
+	out := make(map[string][]byte)
+	shape := map[string]func(*shardEntry){
+		"short slot log":       func(e *shardEntry) { e.log.loaded, e.log.active = e.log.loaded[:2], e.log.active[:2] },
+		"long slot log":        func(e *shardEntry) { e.log.loaded, e.log.active = append(e.log.loaded, 1), append(e.log.active, 0) },
+		"result slots":         func(e *shardEntry) { e.res.Slots++ },
+		"short global map":     func(e *shardEntry) { e.global = e.global[:1] },
+		"long global map":      func(e *shardEntry) { e.global = append(e.global, 11) },
+		"short type labels":    func(e *shardEntry) { e.res.Types = e.res.Types[:1] },
+		"empty slot log":       func(e *shardEntry) { e.log.loaded, e.log.active = nil, nil },
+		"per-func, no ids":     func(e *shardEntry) { e.global = nil },
+		"labels, no functions": func(e *shardEntry) { e.res.PerFunc, e.global = nil, nil },
+	}
+	for name, mutate := range shape {
+		key, ent := testEntry(true)
+		mutate(ent)
+		out[name] = encodeEntry(key, ent)
+	}
+
+	// Byte patches of a typed entry with labels "lab1", "lab2". Its tail
+	// after the two 1-byte type indices is: slot count, 3 loaded, 3 active,
+	// global count, 2 globals, checksum — 44 bytes.
+	patch := func(name string, edit func(buf []byte, idx int)) {
+		key, ent := testEntry(true)
+		ent.res.Types = []string{"lab1", "lab2"}
+		buf := encodeEntry(key, ent)
+		edit(buf, len(buf)-44-2)
+		restamp(buf)
+		out[name] = buf
+	}
+	patch("labels out of first-use order", func(buf []byte, idx int) { buf[idx], buf[idx+1] = 1, 0 })
+	patch("unused label", func(buf []byte, idx int) { buf[idx+1] = 0 })
+	patch("repeated label", func(buf []byte, _ int) {
+		i := bytes.Index(buf, []byte("lab2"))
+		copy(buf[i:], "lab1")
+	})
+	patch("types flag 2 on a typed entry", func(buf []byte, _ int) {
+		i := bytes.Index(buf, []byte("lab1"))
+		buf[i-4-4-1] = 2 // flag, dictionary length, first label length
+	})
+	key, ent := testEntry(false)
+	buf := encodeEntry(key, ent)
+	buf[len(buf)-44-1] = 2 // the untyped flag sits right before the tail
+	restamp(buf)
+	out["types flag 2 on an untyped entry"] = buf
+	return out
+}
+
+// TestDiskEntryShapeRules: a checksummed entry shaped unlike its key — a
+// slot log or Result not covering key.slots, a global map or label vector
+// not one per function — or carrying a non-canonical type dictionary is a
+// miss. The merge indexes by those lengths outside any per-shard recovery,
+// so accepting one would crash the process instead of re-simulating.
+func TestDiskEntryShapeRules(t *testing.T) {
+	for name, data := range misshapenEntries() {
+		if _, err := decodeEntry(peekKey(data), data); err == nil {
+			t.Errorf("%s: decode succeeded, want rejection", name)
+		}
+	}
+}
+
+// TestShardedRunResimulatesForeignGlobalIDs: an entry whose global ids fall
+// outside the run's population passes every decode check, but merging it
+// would index past the population's vectors. The sharded engine must take
+// it as a miss, re-simulate to the clean result, and overwrite it.
+func TestShardedRunResimulatesForeignGlobalIDs(t *testing.T) {
+	tr := tinyTrace()
+	src := buildShardSet(tr, tr, 2)
+	dir := t.TempDir()
+	run := func() (*Result, CacheStats) {
+		t.Helper()
+		d, err := OpenDiskCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := NewShardCache()
+		cache.AttachDisk(d)
+		res, err := RunStreamed(shardedNever{}, src, Options{Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Overhead = 0
+		return res, cache.Stats()
+	}
+	clean, _ := run()
+	files, err := filepath.Glob(filepath.Join(dir, "shard-*.sce"))
+	if err != nil || len(files) != 2 {
+		t.Fatalf("persisted entries = %v (err %v), want 2", files, err)
+	}
+	for _, path := range files {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := peekKey(data)
+		ent, err := decodeEntry(key, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range ent.global {
+			ent.global[i] += trace.FuncID(tr.NumFunctions())
+		}
+		if err := os.WriteFile(path, encodeEntry(key, ent), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, _ := run(); !reflect.DeepEqual(got, clean) {
+		t.Errorf("run over foreign entries = %+v, want the clean %+v", got, clean)
+	}
+	if got, st := run(); !reflect.DeepEqual(got, clean) || st.DiskHits != 2 || st.Misses != 0 {
+		t.Errorf("rerun = %+v with stats %+v, want the clean result from 2 rewritten entries", got, st)
+	}
+}
+
+// FuzzDecodeEntry: decodeEntry never panics, and whatever it accepts is
+// shaped like its key and re-encodes to the identical bytes — the decoding
+// is canonical, so an accepted entry is exactly what encodeEntry writes for
+// some shard outcome. Each input is decoded as given (the checksum gate)
+// and with its checksum re-stamped, so mutations reach the structural
+// checks behind the gate too.
+func FuzzDecodeEntry(f *testing.F) {
+	for _, typed := range []bool{true, false} {
+		key, ent := testEntry(typed)
+		clean := encodeEntry(key, ent)
+		f.Add(clean)
+		// The damage TestDiskCacheCorruptEntriesAreMisses inflicts.
+		f.Add(append([]byte(nil), clean[:len(clean)*2/3]...))
+		flipped := append([]byte(nil), clean...)
+		flipped[len(flipped)/2] ^= 0x01
+		f.Add(flipped)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		check := func(data []byte) {
+			key := peekKey(data)
+			ent, err := decodeEntry(key, data)
+			if err != nil {
+				return
+			}
+			res, log := ent.res, ent.log
+			if len(log.loaded) != key.slots || len(log.active) != key.slots || res.Slots != key.slots {
+				t.Fatalf("accepted %d/%d-row slot log, Result slots %d, for a %d-slot key",
+					len(log.loaded), len(log.active), res.Slots, key.slots)
+			}
+			if len(ent.global) != len(res.PerFunc) || (res.Types != nil && len(res.Types) != len(res.PerFunc)) {
+				t.Fatalf("accepted %d global ids and %d labels for %d functions",
+					len(ent.global), len(res.Types), len(res.PerFunc))
+			}
+			if re := encodeEntry(key, ent); !bytes.Equal(re, data) {
+				t.Fatalf("accepted entry re-encodes differently:\n in  %x\n out %x", data, re)
+			}
+		}
+		check(data)
+		if len(data) >= 4 {
+			stamped := append([]byte(nil), data...)
+			restamp(stamped)
+			check(stamped)
+		}
+	})
 }

@@ -134,16 +134,15 @@ func NewDriver(policy Policy, n int, cfg DriverConfig) *Driver {
 		next:            cfg.StartSlot,
 	}
 	if tr, ok := policy.(LoadDeltaTracker); ok {
-		if _, ok := tr.TakeLoadDeltas(); ok {
-			d.tracker = tr
-			d.loaded = make([]bool, n)
-			d.loadedFrom = make([]int32, n)
-			d.invokedLoaded = make([]int32, n)
-			for fid := 0; fid < n; fid++ {
-				if policy.Loaded(trace.FuncID(fid)) {
-					d.loaded[fid] = true
-					d.loadedFrom[fid] = int32(cfg.StartSlot)
-				}
+		tr.TakeLoadDeltas() // discard training-era deltas
+		d.tracker = tr
+		d.loaded = make([]bool, n)
+		d.loadedFrom = make([]int32, n)
+		d.invokedLoaded = make([]int32, n)
+		for fid := 0; fid < n; fid++ {
+			if policy.Loaded(trace.FuncID(fid)) {
+				d.loaded[fid] = true
+				d.loadedFrom[fid] = int32(cfg.StartSlot)
 			}
 		}
 	}
@@ -393,7 +392,7 @@ func (d *Driver) slotFinish() {
 		// loaded-set changes exactly. An unload closes the residency
 		// [loadedFrom, t-1] and charges its idle minutes (length minus the
 		// invoked-while-loaded slots) in one step.
-		deltas, _ := d.tracker.TakeLoadDeltas()
+		deltas := d.tracker.TakeLoadDeltas()
 		d.flips = deltas
 		for _, fid := range deltas {
 			if d.loaded[fid] {

@@ -3,22 +3,20 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"time"
-
-	"repro/internal/retry"
 )
 
 // This file is the failure-semantics layer of the sharded engine: the
 // transient-vs-deterministic error taxonomy, the structured ShardError the
-// engine surfaces, the retry/backoff policy, and the fault hook the
-// deterministic fault-injection harness (internal/faultinject) plugs into.
+// engine surfaces, and the fault hook the deterministic fault-injection
+// harness (internal/faultinject) plugs into. The retry/backoff schedule is
+// Options.Retry, a retry.Policy.
 // DESIGN.md "Failure semantics" is the prose form of the contracts here.
 
 // ErrInterrupted is the sentinel wrapped by every error a cancelled run
 // returns: Options.Stop was closed, the in-flight shards were drained (their
-// outcomes journaled and cached as usual), and the remaining shards were
-// never started. A caller that sees it can rerun with the same options to
-// resume — completed units replay from the manifest/cache.
+// outcomes cached as usual), and the remaining shards were never started. A
+// caller that sees it can rerun with the same options to resume — completed
+// units replay from the cache, including its disk tier.
 var ErrInterrupted = errors.New("sim: run interrupted")
 
 // ErrNotShardable is the sentinel wrapped by the refusal a sharded or
@@ -99,37 +97,6 @@ func (e *ShardError) Error() string {
 
 func (e *ShardError) Unwrap() error { return e.Err }
 
-// RetryPolicy bounds the shard isolation layer's retries: a transient
-// failure (IsTransient, or any recovered panic — a crash may be cured by a
-// re-run, and re-running a pure shard simulation is always safe) re-runs
-// the shard up to MaxAttempts times total, sleeping BaseDelay << (attempt-1)
-// capped at MaxDelay between attempts. Zero fields take the defaults; a
-// negative MaxAttempts disables retries (one attempt, still recovered and
-// classified).
-type RetryPolicy struct {
-	MaxAttempts int           // total attempts per shard, including the first (default 3)
-	BaseDelay   time.Duration // first backoff sleep (default 5ms)
-	MaxDelay    time.Duration // backoff cap (default 250ms)
-}
-
-// defaultRetryAttempts is the zero-value budget, now owned by the shared
-// retry helper.
-const defaultRetryAttempts = retry.DefaultAttempts
-
-// policy converts to the shared retry helper; the defaults (3 attempts, 5ms
-// base, 250ms cap) are retry's package defaults, so the zero RetryPolicy
-// keeps its historical schedule exactly.
-func (p RetryPolicy) policy() retry.Policy {
-	return retry.Policy{MaxAttempts: p.MaxAttempts, BaseDelay: p.BaseDelay, MaxDelay: p.MaxDelay}
-}
-
-// attempts resolves the effective attempt budget.
-func (p RetryPolicy) attempts() int { return p.policy().Attempts() }
-
-// backoff returns the sleep before attempt n+1 (n is the 1-based attempt
-// that just failed): BaseDelay doubled per failure, capped at MaxDelay.
-func (p RetryPolicy) backoff(n int) time.Duration { return p.policy().Backoff(n) }
-
 // ShardFaultHook is the fault-injection seam at the shard-worker boundary:
 // when Options.FaultHook is set, the engine calls BeforeShard(shard,
 // attempt) inside the worker immediately before simulating that shard
@@ -144,7 +111,7 @@ type ShardFaultHook interface {
 }
 
 // panicError carries a recovered panic value across the retry loop. All
-// recovered panics are treated as retryable (see RetryPolicy): a
+// recovered panics are treated as retryable (see Options.Retry): a
 // deterministic panic simply exhausts the attempt budget and surfaces as a
 // ShardError with Panicked set.
 type panicError struct{ val any }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/retry"
 	"repro/internal/trace"
 )
 
@@ -81,7 +82,7 @@ func (s *flakySource) Shard(i int) (*trace.ShardView, *trace.ShardView, error) {
 }
 
 // fastRetry keeps test retries from sleeping meaningfully.
-var fastRetry = RetryPolicy{BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}
+var fastRetry = retry.Policy{BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}
 
 func mustRun(t *testing.T, opts Options) *Result {
 	t.Helper()
@@ -121,8 +122,8 @@ func TestShardPersistentPanicSurfacesStructured(t *testing.T) {
 	if !se.Panicked || !se.Transient {
 		t.Errorf("ShardError classification = panicked %v transient %v, want true/true: %v", se.Panicked, se.Transient, se)
 	}
-	if se.Attempts != defaultRetryAttempts {
-		t.Errorf("ShardError attempts = %d, want the default budget %d", se.Attempts, defaultRetryAttempts)
+	if se.Attempts != retry.DefaultAttempts {
+		t.Errorf("ShardError attempts = %d, want the default budget %d", se.Attempts, retry.DefaultAttempts)
 	}
 	if se.Policy != "never-loaded" || se.Shards != 2 {
 		t.Errorf("ShardError context = %q %d shards, want never-loaded / 2", se.Policy, se.Shards)
@@ -184,7 +185,7 @@ func TestShardTransientExhaustionKeepsClassification(t *testing.T) {
 	tr := tinyTrace()
 	src := &flakySource{shardSet: buildShardSet(tr, tr, 2), failShard: 0,
 		err: MarkTransient(errors.New("io hiccup")), failN: 1 << 30}
-	_, err := RunStreamed(shardedNever{}, src, Options{Retry: RetryPolicy{MaxAttempts: 2, BaseDelay: time.Microsecond}})
+	_, err := RunStreamed(shardedNever{}, src, Options{Retry: retry.Policy{MaxAttempts: 2, BaseDelay: time.Microsecond}})
 	var se *ShardError
 	if !errors.As(err, &se) {
 		t.Fatalf("error does not unwrap to *ShardError: %v", err)
@@ -233,19 +234,50 @@ func TestRunAllPartialResults(t *testing.T) {
 	}
 }
 
+// panicShardHook crashes every attempt of one shard and none of the others.
+type panicShardHook int
+
+func (h panicShardHook) BeforeShard(shard, attempt int) {
+	if shard == int(h) {
+		panic(fmt.Sprintf("persistent crash on shard %d attempt %d", shard, attempt))
+	}
+}
+
+// The engine takes its retry budget and backoff schedule from
+// Options.Retry as given: the zero policy's default budget, a negative
+// budget's single attempt, and the capped doubling schedule between
+// attempts (observed through the policy's Sleep seam).
 func TestRetryPolicyBudgetAndBackoff(t *testing.T) {
-	if got := (RetryPolicy{}).attempts(); got != defaultRetryAttempts {
-		t.Errorf("zero policy attempts = %d, want %d", got, defaultRetryAttempts)
-	}
-	if got := (RetryPolicy{MaxAttempts: -1}).attempts(); got != 1 {
-		t.Errorf("negative policy attempts = %d, want 1 (retries disabled)", got)
-	}
-	p := RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 35 * time.Millisecond}
-	want := []time.Duration{10, 20, 35, 35} // doubling, capped
-	for i, w := range want {
-		if got := p.backoff(i + 1); got != w*time.Millisecond {
-			t.Errorf("backoff(%d) = %v, want %v", i+1, got, w*time.Millisecond)
+	tr := tinyTrace()
+	attempts := func(p retry.Policy) (int, []time.Duration) {
+		t.Helper()
+		var mu sync.Mutex
+		var slept []time.Duration
+		p.Sleep = func(d time.Duration) {
+			mu.Lock()
+			slept = append(slept, d)
+			mu.Unlock()
 		}
+		_, err := Run(shardedNever{}, tr, tr, Options{Shards: 2, Retry: p, FaultHook: panicShardHook(0)})
+		var se *ShardError
+		if !errors.As(err, &se) || se.Shard != 0 {
+			t.Fatalf("want a ShardError for shard 0, got %v", err)
+		}
+		return se.Attempts, slept
+	}
+	if got, _ := attempts(retry.Policy{}); got != retry.DefaultAttempts {
+		t.Errorf("zero policy attempts = %d, want %d", got, retry.DefaultAttempts)
+	}
+	if got, slept := attempts(retry.Policy{MaxAttempts: -1}); got != 1 || len(slept) != 0 {
+		t.Errorf("negative policy: %d attempts, sleeps %v; want 1 attempt, no sleep (retries disabled)", got, slept)
+	}
+	got, slept := attempts(retry.Policy{MaxAttempts: 5, BaseDelay: 10 * time.Millisecond, MaxDelay: 35 * time.Millisecond})
+	want := []time.Duration{10, 20, 35, 35} // doubling, capped
+	for i := range want {
+		want[i] *= time.Millisecond
+	}
+	if got != 5 || !reflect.DeepEqual(slept, want) {
+		t.Errorf("5-attempt policy: %d attempts, sleeps %v; want 5, %v", got, slept, want)
 	}
 }
 

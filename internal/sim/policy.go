@@ -15,7 +15,8 @@
 // residency; trace.StoreSource and GeneratorSource both satisfy it),
 // shard-outcome caching (ShardCache, DiskCache, keyed by config hash and
 // trace fingerprint), cross-shard capacity arbitration (CapacityPolicy),
-// and fault-tolerant sweep execution (Sweep, SweepManifest).
+// and fault-tolerant sweep execution (Sweep; a rerun resumes from the
+// DiskCache entries a killed run committed).
 package sim
 
 import "repro/internal/trace"
@@ -69,14 +70,12 @@ type Policy interface {
 //     same Tick appears twice; consumers reconstruct the state by toggling.
 //   - The returned slice is only valid until the policy's next Tick (trackers
 //     may reuse the backing array).
-//   - ok=false means tracking is unavailable for this run; the simulator
-//     falls back to the dense per-slot scan.
 //
 // The simulator establishes the post-Train baseline itself (one Loaded scan
-// before slot 0) and discards any training-era deltas, so Train does not
-// need to log.
+// before slot 0) and discards any training-era deltas with one probe call,
+// so Train does not need to log.
 type LoadDeltaTracker interface {
-	TakeLoadDeltas() ([]trace.FuncID, bool)
+	TakeLoadDeltas() []trace.FuncID
 }
 
 // IdleSkipper is implemented by policies whose empty Ticks are provably

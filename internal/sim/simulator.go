@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
+	"repro/internal/retry"
 	"repro/internal/trace"
 )
 
@@ -84,16 +84,18 @@ type Options struct {
 	// whose worker panics or returns a transient error (sim.IsTransient) is
 	// re-produced and re-simulated with capped exponential backoff, up to
 	// Retry.MaxAttempts times, before surfacing a ShardError. Deterministic
-	// errors surface on the first attempt. The zero value takes the
-	// defaults; re-running a shard is always safe because shard simulation
-	// is pure (fresh policy instance, read-only views).
-	Retry RetryPolicy
+	// errors surface on the first attempt. The zero value takes the retry
+	// package defaults (3 attempts, 5ms base, 250ms cap); a negative
+	// MaxAttempts disables retries. Re-running a shard is always safe
+	// because shard simulation is pure (fresh policy instance, read-only
+	// views).
+	Retry retry.Policy
 
 	// Stop, when non-nil, requests a graceful cancellation when closed: the
 	// sharded engine starts no new shard work, drains the shards already in
-	// flight (their outcomes are cached and journaled as usual), and
-	// returns an error wrapping ErrInterrupted. Rerunning with the same
-	// options resumes from the completed units.
+	// flight (their outcomes are cached as usual), and returns an error
+	// wrapping ErrInterrupted. Rerunning with the same options resumes from
+	// the completed units.
 	Stop <-chan struct{}
 
 	// FaultHook, when non-nil, is called at the shard-worker boundary
@@ -234,7 +236,8 @@ type slotLog struct {
 // failures retry per Options.Retry, and the returned error is an
 // errors.Join of one structured ShardError per shard that still failed
 // (unpack with errors.As). Completed shards' outcomes persist in the
-// attached cache/manifest, so a rerun resumes rather than starting over.
+// attached cache (and its disk tier), so a rerun resumes rather than
+// starting over.
 // A run cancelled via Options.Stop returns an error wrapping
 // ErrInterrupted after draining in-flight shards.
 func Run(policy Policy, training, simTrace *trace.Trace, opts Options) (*Result, error) {
@@ -464,7 +467,9 @@ func runShardedSrc(policy Policy, src Source, opts Options) (*Result, error) {
 					slots:  slots,
 				}
 				ps.cacheable = true
-				if ent := cache.lookup(ps.key); ent != nil {
+				// An entry whose ids fall outside this population would
+				// index past the merge's vectors: re-simulate instead.
+				if ent := cache.lookup(ps.key); ent != nil && ent.fits(src.NumFunctions()) {
 					ps.ent = ent
 					return ps
 				}
@@ -511,28 +516,25 @@ func runShardedSrc(policy Policy, src Source, opts Options) (*Result, error) {
 	// shards keep running.
 	simulate := func(i int, ps producedShard) {
 		started[i] = true
-		max := opts.Retry.attempts()
-		for n := 1; ; n++ {
-			err := attempt(i, n, ps)
-			if err == nil {
-				errs[i] = nil
-				return
+		tries := 0
+		err := opts.Retry.Do(func(n int) error {
+			tries = n
+			if n > 1 {
+				// Re-produce from scratch: the failed attempt's views (or
+				// cache entry) are suspect, and a transient production fault
+				// needs the production re-run too.
+				ps = produce(i)
 			}
+			return attempt(i, n, ps)
+		}, func(err error) bool { return isPanic(err) || IsTransient(err) })
+		errs[i] = nil
+		if err != nil {
 			panicked := isPanic(err)
-			transient := panicked || IsTransient(err)
-			if !transient || n >= max {
-				results[i] = nil
-				errs[i] = &ShardError{
-					Policy: policy.Name(), Shard: i, Shards: p,
-					Attempts: n, Transient: transient, Panicked: panicked, Err: err,
-				}
-				return
+			results[i] = nil
+			errs[i] = &ShardError{
+				Policy: policy.Name(), Shard: i, Shards: p, Attempts: tries,
+				Transient: panicked || IsTransient(err), Panicked: panicked, Err: err,
 			}
-			time.Sleep(opts.Retry.backoff(n))
-			// Re-produce from scratch: the failed attempt's views (or cache
-			// entry) are suspect, and a transient production fault needs the
-			// production re-run too.
-			ps = produce(i)
 		}
 	}
 
@@ -605,8 +607,8 @@ func runShardedSrc(policy Policy, src Source, opts Options) (*Result, error) {
 	// shard contributes its ShardError, and a cancelled run additionally
 	// wraps ErrInterrupted. A partial merge would be a wrong Result, so any
 	// failure means a nil Result — but the completed shards' outcomes are
-	// already cached and journaled, which is what makes a rerun resume
-	// instead of starting over.
+	// already cached (and on disk, with a disk tier), which is what makes a
+	// rerun resume instead of starting over.
 	var joined []error
 	interrupted := false
 	for i, err := range errs {

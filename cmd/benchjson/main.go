@@ -11,7 +11,9 @@
 // regime where the sharded engine's near-linear core scaling shows. Every
 // sweep point samples the process heap (runtime.MemStats.HeapInuse, ~2ms
 // cadence) so the materialized-vs-streamed residency gap is recorded next
-// to the wall clock: shard counts > 1 run twice, once over materialized
+// to the wall clock; a point runs heapPasses times and records the median
+// peak, since one sample swings with GC timing (wall times and results come
+// from the first pass). Shard counts > 1 run twice, once over materialized
 // traces and once streamed through sim.GeneratorSource, and each point
 // regenerates its own workload so generation residency is attributed to
 // the mode that pays it. -sweepCapacity extends the sweep with the
@@ -64,6 +66,7 @@ import (
 	"reflect"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -233,7 +236,8 @@ func runIngestBench(csvPath string, shards, trainDays int) (*IngestResult, error
 // result fields are recorded so the sweep doubles as an equivalence check —
 // every mode and shard count at the same scale must report the same cold
 // starts and WMT. Heap figures are HeapInuse sampled during the point
-// (peak) and after a post-run GC (live). Single-core caveat: with
+// (peak: the median over heapPasses passes, except the single-pass mega
+// point) and after a post-run GC (live, first pass). Single-core caveat: with
 // maxprocs=1 the shard runs serialize, so shards>1 shows the sharding
 // overhead floor rather than a speedup; the near-linear scaling claim
 // needs maxprocs >= shards.
@@ -506,28 +510,27 @@ func runSweep(scales, shardCounts []int, seed int64, capacity bool, stop <-chan 
 				Functions: n, Days: s.Days, TrainDays: s.TrainDays,
 				Seed: seed, Shards: shards, Mode: "materialized",
 			}
-			watch := memwatch.Watch()
-			genStart := time.Now()
-			_, train, simTr, err := experiments.BuildWorkload(s)
+			// The workload lives only inside the pass, so the next pass's
+			// (and the streamed point's) baseline GC collects it.
+			err := measurePoint(&pt, func(first bool) (*sim.Result, error) {
+				genStart := time.Now()
+				_, train, simTr, err := experiments.BuildWorkload(s)
+				if err != nil {
+					return nil, err
+				}
+				generateMs := msSince(genStart)
+				simStart := time.Now()
+				res, err := sim.Run(core.New(core.DefaultConfig()), train, simTr,
+					sim.Options{Shards: shards, Stop: stop})
+				if err == nil && first {
+					pt.GenerateMs, pt.FullSimMs = generateMs, msSince(simStart)
+				}
+				return res, err
+			})
 			if err != nil {
 				return nil, err
 			}
-			pt.GenerateMs = msSince(genStart)
-			simStart := time.Now()
-			res, err := sim.Run(core.New(core.DefaultConfig()), train, simTr,
-				sim.Options{Shards: shards, Stop: stop})
-			if err != nil {
-				return nil, err
-			}
-			pt.FullSimMs = msSince(simStart)
-			pt.HeapPeakBytes, pt.HeapAfterBytes = watch.Finish()
-			pt.ColdStarts, pt.WMT, pt.MaxLoaded = res.TotalColdStarts, res.TotalWMT, res.MaxLoaded
-			spesMaxLoaded = res.MaxLoaded
-			// Drop the materialized workload so the streamed point's baseline
-			// GC (inside memwatch.Watch) can collect it: its residency must
-			// not pollute the streamed peak.
-			train, simTr, res = nil, nil, nil
-			_, _, _ = train, simTr, res
+			spesMaxLoaded = pt.MaxLoaded
 			out = append(out, pt)
 
 			if shards <= 1 {
@@ -542,15 +545,17 @@ func runSweep(scales, shardCounts []int, seed int64, capacity bool, stop <-chan 
 			if err != nil {
 				return nil, err
 			}
-			watch = memwatch.Watch()
-			simStart = time.Now()
-			sres, err := sim.RunStreamed(core.New(core.DefaultConfig()), src, sim.Options{Stop: stop})
+			err = measurePoint(&st, func(first bool) (*sim.Result, error) {
+				simStart := time.Now()
+				res, err := sim.RunStreamed(core.New(core.DefaultConfig()), src, sim.Options{Stop: stop})
+				if err == nil && first {
+					st.FullSimMs = msSince(simStart)
+				}
+				return res, err
+			})
 			if err != nil {
 				return nil, err
 			}
-			st.FullSimMs = msSince(simStart)
-			st.HeapPeakBytes, st.HeapAfterBytes = watch.Finish()
-			st.ColdStarts, st.WMT, st.MaxLoaded = sres.TotalColdStarts, sres.TotalWMT, sres.MaxLoaded
 			if st.ColdStarts != pt.ColdStarts || st.WMT != pt.WMT || st.MaxLoaded != pt.MaxLoaded {
 				return nil, fmt.Errorf("benchjson: streamed n=%d shards=%d diverged from materialized (cold %d/%d wmt %d/%d)",
 					n, shards, st.ColdStarts, pt.ColdStarts, st.WMT, pt.WMT)
@@ -566,6 +571,36 @@ func runSweep(scales, shardCounts []int, seed int64, capacity bool, stop <-chan 
 		}
 	}
 	return out, nil
+}
+
+// heapPasses is how many times measurePoint runs a sweep point.
+const heapPasses = 3
+
+// measurePoint runs pass heapPasses times, each under its own memwatch
+// sampler, and records into pt the median sampled heap peak, the first
+// pass's after-GC heap, and the first pass's results. Every pass must
+// reproduce the first one's results: a point is deterministic per seed.
+func measurePoint(pt *SweepPoint, pass func(first bool) (*sim.Result, error)) error {
+	var peaks [heapPasses]uint64
+	for i := range peaks {
+		watch := memwatch.Watch()
+		res, err := pass(i == 0)
+		peak, after := watch.Finish()
+		if err != nil {
+			return err
+		}
+		peaks[i] = peak
+		if i == 0 {
+			pt.HeapAfterBytes = after
+			pt.ColdStarts, pt.WMT, pt.MaxLoaded = res.TotalColdStarts, res.TotalWMT, res.MaxLoaded
+		} else if res.TotalColdStarts != pt.ColdStarts || res.TotalWMT != pt.WMT || res.MaxLoaded != pt.MaxLoaded {
+			return fmt.Errorf("benchjson: n=%d shards=%d %s pass %d diverged from pass 1 (cold %d/%d wmt %d/%d)",
+				pt.Functions, pt.Shards, pt.Mode, i+1, res.TotalColdStarts, pt.ColdStarts, res.TotalWMT, pt.WMT)
+		}
+	}
+	slices.Sort(peaks[:])
+	pt.HeapPeakBytes = peaks[heapPasses/2]
+	return nil
 }
 
 // runCapacityRows measures the capacity-coupled baselines at one sweep
@@ -599,21 +634,23 @@ func runCapacityRows(s experiments.Settings, n, spesMaxLoaded int, shardCounts [
 				Seed: seed, Shards: shards, Mode: "materialized",
 				Policy: pol.name, Capacity: pool,
 			}
-			watch := memwatch.Watch()
-			genStart := time.Now()
-			_, train, simTr, err := experiments.BuildWorkload(s)
+			err := measurePoint(&pt, func(first bool) (*sim.Result, error) {
+				genStart := time.Now()
+				_, train, simTr, err := experiments.BuildWorkload(s)
+				if err != nil {
+					return nil, err
+				}
+				generateMs := msSince(genStart)
+				simStart := time.Now()
+				res, err := sim.Run(pol.mk(), train, simTr, sim.Options{Shards: shards, Stop: stop})
+				if err == nil && first {
+					pt.GenerateMs, pt.FullSimMs = generateMs, msSince(simStart)
+				}
+				return res, err
+			})
 			if err != nil {
 				return nil, err
 			}
-			pt.GenerateMs = msSince(genStart)
-			simStart := time.Now()
-			res, err := sim.Run(pol.mk(), train, simTr, sim.Options{Shards: shards, Stop: stop})
-			if err != nil {
-				return nil, err
-			}
-			pt.FullSimMs = msSince(simStart)
-			pt.HeapPeakBytes, pt.HeapAfterBytes = watch.Finish()
-			pt.ColdStarts, pt.WMT, pt.MaxLoaded = res.TotalColdStarts, res.TotalWMT, res.MaxLoaded
 			if first == nil {
 				p := pt
 				first = &p

@@ -1,8 +1,10 @@
 // Command eqvcheck is the CLI form of the engine-equivalence tests, at a
 // scale the unit suite does not run on every invocation: it simulates SPES
-// with the dense reference engine, the event-driven engine, the sharded
-// engine, and (with -stream) the streamed engine over seeded workloads and
-// exits non-zero on the first sim.Result mismatch.
+// with the unsharded engine as the reference, then the sharded engine and
+// (with -stream) the streamed engine and the shard cache over seeded
+// workloads, and exits non-zero on the first sim.Result mismatch. The
+// unsharded engine is itself pinned to Algorithm 1's per-slot scan oracle
+// on these same workloads by internal/core's TestDenseReferenceAtCIScale.
 //
 //	go run ./cmd/eqvcheck                         # 400 functions, shards 4
 //	go run ./cmd/eqvcheck -functions 10000 -sparse -shards 8 -seeds 3 -stream
@@ -17,7 +19,7 @@
 //
 // -stream also exercises the shard cache with a disk tier: a cold, a warm,
 // and a warm-after-restart (fresh in-memory cache over the same entry
-// directory) pass must all match the dense reference. -cachedir persists
+// directory) pass must all match the unsharded reference. -cachedir persists
 // the entry directory across invocations — CI runs eqvcheck twice against
 // one directory and asserts with -mindiskhits that the second process was
 // served from disk; without -cachedir a temporary directory is used and
@@ -26,8 +28,9 @@
 // -faults <seed> runs the -stream checks under deterministic injected
 // faults (internal/faultinject): disk reads/writes/renames fail or corrupt
 // on a seeded schedule, shard workers panic on first attempts and stall.
-// The dense reference runs clean; every faulted engine and cache pass must
-// still match it bit-for-bit — the completes ⇒ bit-identical invariant.
+// The unsharded reference runs clean; every faulted engine and cache pass
+// must still match it bit-for-bit — the completes ⇒ bit-identical
+// invariant.
 // Exact cache-tier traffic assertions are relaxed (a failed restore
 // legitimately re-simulates), result equality never is:
 //
@@ -92,7 +95,7 @@ func run() error {
 	shards := flag.Int("shards", 4, "shard count for the sharded engine (0 disables the sharded check)")
 	seeds := flag.Int("seeds", 3, "number of seeds to check")
 	sparse := flag.Bool("sparse", false, "use the mostly-idle trigger mix (large-n regime)")
-	stream := flag.Bool("stream", false, "additionally check the streamed engine (sim.RunStreamed over a generator source) and the disk-backed shard cache against the dense reference")
+	stream := flag.Bool("stream", false, "additionally check the streamed engine (sim.RunStreamed over a generator source) and the disk-backed shard cache against the unsharded reference")
 	streamOnly := flag.Bool("streamonly", false, "check only streamed engines (-shards vs 2x -shards) without ever materializing a trace; peak residency stays O(functions/shards)")
 	maxHeap := flag.Uint64("maxheap", 0, "exit non-zero if sampled peak HeapInuse exceeds this many bytes (0: unbounded)")
 	workers := flag.Int("workers", 0, "concurrent shard-run cap (0: one per core); streamed residency is up to TWO shards (pipelined prefetch) of O(functions/shards) event series PER in-flight worker, so -maxheap bounds need a fixed worker count, not the runner's core count")
@@ -100,7 +103,7 @@ func run() error {
 	minDiskHits := flag.Int("mindiskhits", 0, "fail unless the cold passes were served at least this many shard entries from the disk cache — asserts that a previous process's -cachedir entries survived the restart (0: no assertion)")
 	scenario := flag.String("scenario", "", "run the checks over a non-stationary library scenario (steady|drift|flashcrowd|churn|deploy-wave) positioned at the -traindays split (empty: stationary)")
 	retrain := flag.Int("retrain", 0, "enable SPES online re-categorization every this many slots in every engine under comparison (0: off)")
-	faultSeed := flag.Int64("faults", 0, "non-zero: run the -stream checks under deterministic injected faults with this schedule seed; completed runs must stay bit-identical to the clean dense reference")
+	faultSeed := flag.Int64("faults", 0, "non-zero: run the -stream checks under deterministic injected faults with this schedule seed; completed runs must stay bit-identical to the clean unsharded reference")
 	capCheck := flag.Bool("capacity", false, "additionally check the capacity-arbitrated sharded engine: FaaSCache and LCS under shard counts {2, 5, 16} (and streamed at -shards with -stream) must be bit-identical to their unsharded runs")
 	ingestCSV := flag.String("ingest", "", "real-trace mode: check this Azure-format CSV through materialized, sharded, and columnar-store (cold + warm) paths for bit-identity; generation flags are ignored")
 	flag.Parse()
@@ -246,17 +249,8 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		cfgD := core.DefaultConfig()
-		cfgD.DenseScan = true
-		rd, err := sim.Run(core.New(cfgD), train, simTr, sim.Options{RetrainEvery: *retrain})
+		rd, err := sim.Run(core.New(core.DefaultConfig()), train, simTr, sim.Options{RetrainEvery: *retrain})
 		if err != nil {
-			return err
-		}
-		re, err := sim.Run(core.New(core.DefaultConfig()), train, simTr, sim.Options{RetrainEvery: *retrain})
-		if err != nil {
-			return err
-		}
-		if err := compare(fmt.Sprintf("seed %d: event", seed), rd, re); err != nil {
 			return err
 		}
 		if *shards > 1 {

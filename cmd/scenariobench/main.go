@@ -10,10 +10,10 @@
 //	scenariobench                                  # library x policies, 2000 fns
 //	scenariobench -scenarios drift,churn -functions 600 -shards 2 -check
 //
-// -check additionally asserts, per scenario, that the dense-engine
-// reference, the materialized sharded engine, and the streamed engine
-// produce bit-identical SPES results (the eqvcheck guarantee, extended to
-// scenario workloads), exiting non-zero on the first divergence. -stream
+// -check additionally asserts, per scenario, that the unsharded engine, the
+// materialized sharded engine, and the streamed engine produce
+// bit-identical SPES results (the eqvcheck guarantee, extended to scenario
+// workloads), exiting non-zero on the first divergence. -stream
 // runs every tabulated policy through the streamed engine (O(n/shards)
 // residency) instead of materialized shards; results are identical either
 // way.
@@ -57,7 +57,7 @@ func run() error {
 	shards := flag.Int("shards", 4, "population shards per simulation")
 	stream := flag.Bool("stream", false, "run the tabulated policies through the streamed engine (never materializes the trace pair)")
 	retrainEvery := flag.Int("retrain-every", 1440, "the SPES+retrain row re-categorizes every this many slots (0 drops the row)")
-	check := flag.Bool("check", false, "per scenario, assert dense == sharded == streamed SPES results bit-identically")
+	check := flag.Bool("check", false, "per scenario, assert unsharded == sharded == streamed SPES results bit-identically")
 	storeDir := flag.String("store", "", "columnar shard store directory (tracegen -ingest): tabulate the policies over the stored real trace instead of the scenario library; -train-days positions the split")
 	flag.Parse()
 
@@ -72,7 +72,7 @@ func run() error {
 			return fmt.Errorf("-store already streams shard files; -stream is implied")
 		}
 		if *check {
-			return fmt.Errorf("-check needs the generated workload's dense reference; for store equivalence run eqvcheck -ingest")
+			return fmt.Errorf("-check needs the generated workload's unsharded reference; for store equivalence run eqvcheck -ingest")
 		}
 		if *trainDays <= 0 {
 			return fmt.Errorf("-train-days must be positive, got %d", *trainDays)
@@ -205,7 +205,7 @@ func runScenario(name string, functions, days, trainDays int, seed int64, shards
 		if err := checkEngines(s, train, simTr, shards); err != nil {
 			return err
 		}
-		fmt.Printf("engines agree: dense == sharded x%d == streamed x%d (SPES, bit-identical)\n", shards, shards)
+		fmt.Printf("engines agree: unsharded == sharded x%d == streamed x%d (SPES, bit-identical)\n", shards, shards)
 	}
 	return nil
 }
@@ -297,13 +297,11 @@ func runStore(dir string, trainDays, retrainEvery int) error {
 	return nil
 }
 
-// checkEngines asserts the dense reference, the materialized sharded
+// checkEngines asserts the unsharded engine, the materialized sharded
 // engine, and the streamed engine produce bit-identical SPES results over
 // the scenario workload.
 func checkEngines(s experiments.Settings, train, simTr *trace.Trace, shards int) error {
-	denseCfg := core.DefaultConfig()
-	denseCfg.DenseScan = true
-	ref, err := sim.Run(core.New(denseCfg), train, simTr, sim.Options{})
+	ref, err := sim.Run(core.New(core.DefaultConfig()), train, simTr, sim.Options{})
 	if err != nil {
 		return err
 	}
@@ -326,7 +324,7 @@ func checkEngines(s experiments.Settings, train, simTr *trace.Trace, shards int)
 		w, g := *ref, *c.got
 		w.Overhead, g.Overhead = 0, 0
 		if !reflect.DeepEqual(&w, &g) {
-			return fmt.Errorf("%s engine diverged from the dense reference (cold %d/%d wmt %d/%d)",
+			return fmt.Errorf("%s engine diverged from the unsharded reference (cold %d/%d wmt %d/%d)",
 				c.engine, g.TotalColdStarts, w.TotalColdStarts, g.TotalWMT, w.TotalWMT)
 		}
 	}

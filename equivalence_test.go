@@ -1,9 +1,10 @@
-// Equivalence tests: the event-driven scheduling core and the incremental
-// (load/unload-delta) simulation accounting must reproduce the retained
-// dense reference implementations bit for bit. Every sim.Result field —
-// cold starts, WMT, EMCR, memory, per-function metrics, type labels — is
-// compared across engines and accounting modes on seeded generator
-// workloads.
+// Equivalence tests: sharded, streamed, parallel and cached runs, and the
+// incremental (load/unload-delta) simulation accounting, must reproduce
+// their unsharded and per-slot-scan counterparts bit for bit. Every
+// sim.Result field — cold starts, WMT, EMCR, memory, per-function metrics,
+// type labels — is compared on seeded generator workloads. The scheduling
+// engines' own oracles live with their packages (internal/core and
+// internal/baselines equivalence_test.go).
 package main
 
 import (
@@ -16,29 +17,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // scanOnly hides a policy's LoadDeltaTracker so sim.Run falls back to the
 // dense per-slot accounting scan; it is the reference the delta-accounting
 // path is verified against.
 type scanOnly struct{ sim.Policy }
-
-// scanOnlyTagged additionally forwards TypeTagger for policies (SPES) that
-// label functions, so the reference result carries the same Types field.
-type scanOnlyTagged struct{ sim.Policy }
-
-func (s scanOnlyTagged) TypeOf(f trace.FuncID) string {
-	return s.Policy.(sim.TypeTagger).TypeOf(f)
-}
-
-// scanOnlyRetrain additionally forwards Retrain, so a retrain-enabled
-// dense-accounting reference retrains exactly like the wrapped policy.
-type scanOnlyRetrain struct{ scanOnlyTagged }
-
-func (s scanOnlyRetrain) Retrain(t int, w *trace.Trace) {
-	s.Policy.(sim.Retrainer).Retrain(t, w)
-}
 
 func eqvSettings(seed int64) experiments.Settings {
 	s := experiments.DefaultSettings()
@@ -74,71 +58,6 @@ func assertSameResult(t *testing.T, label string, want, got *sim.Result) {
 		if w.Types[fid] != g.Types[fid] {
 			t.Errorf("%s: f%d type want=%s got=%s", label, fid, w.Types[fid], g.Types[fid])
 			return
-		}
-	}
-}
-
-// TestSPESEventEngineEquivalence runs the event-driven SPES against the
-// dense per-slot reference on three seeded workloads, in every combination
-// of scheduling engine × accounting mode, and requires identical results.
-func TestSPESEventEngineEquivalence(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		_, train, simTr, err := experiments.BuildWorkload(eqvSettings(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		denseCfg := core.DefaultConfig()
-		denseCfg.DenseScan = true
-
-		// Reference: dense engine, dense accounting scan.
-		ref, err := sim.Run(scanOnlyTagged{core.New(denseCfg)}, train, simTr, sim.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref.TotalColdStarts == 0 || ref.TotalWMT == 0 {
-			t.Fatalf("seed %d: degenerate reference workload: %+v", seed, ref)
-		}
-
-		// Streamed sources: same workload as the materialized traces above,
-		// produced one shard at a time by the generator.
-		src1, err := experiments.StreamSource(eqvSettings(seed), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src2, err := experiments.StreamSource(eqvSettings(seed), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src5, err := experiments.StreamSource(eqvSettings(seed), 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		cases := []struct {
-			label  string
-			policy sim.Policy
-			opts   sim.Options
-		}{
-			{"event engine + delta accounting", core.New(core.DefaultConfig()), sim.Options{}},
-			{"event engine + scan accounting", scanOnlyTagged{core.New(core.DefaultConfig())}, sim.Options{}},
-			{"dense engine + delta accounting", core.New(denseCfg), sim.Options{}},
-			{"sharded x2 event engine", core.New(core.DefaultConfig()), sim.Options{Shards: 2}},
-			{"sharded x5 event engine", core.New(core.DefaultConfig()), sim.Options{Shards: 5}},
-			{"sharded x3 dense engine", core.New(denseCfg), sim.Options{Shards: 3}},
-			{"streamed x1 event engine", core.New(core.DefaultConfig()), sim.Options{Source: src1}},
-			{"streamed x2 event engine", core.New(core.DefaultConfig()), sim.Options{Source: src2}},
-			{"streamed x5 event engine", core.New(core.DefaultConfig()), sim.Options{Source: src5}},
-			{"streamed x5 dense engine", core.New(denseCfg), sim.Options{Source: src5}},
-			{"streamed x5 cached event engine", core.New(core.DefaultConfig()),
-				sim.Options{Source: src5, Cache: sim.NewShardCache()}},
-		}
-		for _, c := range cases {
-			got, err := sim.Run(c.policy, train, simTr, c.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameResult(t, c.label, ref, got)
 		}
 	}
 }
@@ -277,65 +196,6 @@ func TestCapacityShardingContracts(t *testing.T) {
 	}
 }
 
-// TestShardedLargeNSparseEquivalence is the scale form of the engine
-// equivalence: a 10k-function mostly-idle population (three seeds) must
-// produce bit-identical sim.Results from the sharded, unsharded, and dense
-// reference engines. This is the regime sharding exists for — the
-// population is ~17x bench scale while the invocation volume stays small —
-// so the test doubles as a guard that none of the engines' O(active)
-// claims regress into O(n) correctness hacks. Skipped under -short (the
-// race-detector CI job runs the unit suite with -short and exercises a
-// small sharded run via cmd/eqvcheck instead).
-func TestShardedLargeNSparseEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("large-n equivalence skipped with -short")
-	}
-	for seed := int64(1); seed <= 3; seed++ {
-		s := experiments.SparseSettings(10_000, seed)
-		_, train, simTr, err := experiments.BuildWorkload(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		denseCfg := core.DefaultConfig()
-		denseCfg.DenseScan = true
-		ref, err := sim.Run(scanOnlyTagged{core.New(denseCfg)}, train, simTr, sim.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref.TotalColdStarts == 0 || ref.TotalWMT == 0 {
-			t.Fatalf("seed %d: degenerate sparse workload: %+v", seed, ref)
-		}
-
-		event, err := sim.Run(core.New(core.DefaultConfig()), train, simTr, sim.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResult(t, fmt.Sprintf("seed %d: event vs dense", seed), ref, event)
-
-		for _, shards := range []int{4, 16} {
-			sharded, err := sim.Run(core.New(core.DefaultConfig()), train, simTr,
-				sim.Options{Shards: shards})
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameResult(t, fmt.Sprintf("seed %d: sharded x%d vs dense", seed, shards), ref, sharded)
-
-			// Streamed form of the same run: the trace pair is never
-			// materialized, shards are generated inside the workers.
-			src, err := experiments.StreamSource(s, shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			streamed, err := sim.RunStreamed(core.New(core.DefaultConfig()), src, sim.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameResult(t, fmt.Sprintf("seed %d: streamed x%d vs dense", seed, shards), ref, streamed)
-		}
-	}
-}
-
 // TestShardedRunAllSharesBudget smoke-tests the policies x shards worker
 // budget: several sharded policies under one RunAll with Workers=2 must
 // still produce in-order, bit-correct results.
@@ -400,102 +260,6 @@ func TestBaselineDeltaAccountingEquivalence(t *testing.T) {
 	}
 }
 
-// TestWheelBaselineEquivalence is the baseline counterpart of
-// TestSPESEventEngineEquivalence: every deadline-based baseline now runs on
-// the shared timing wheel by default, and this matrix pins the wheel engine
-// bit-identical to the retained map-agenda reference across seeds,
-// non-stationary scenarios, and the unsharded, sharded, and streamed
-// execution engines. The reference runs map-agenda + dense accounting scan
-// (scanOnly also hides NextWake, so the reference can never batch-advance);
-// the wheel runs use delta accounting and are therefore also exercising the
-// simulator's idle-span skipping.
-func TestWheelBaselineEquivalence(t *testing.T) {
-	mks := []struct {
-		name      string
-		wheel     func() sim.Policy
-		reference func() sim.Policy
-	}{
-		{
-			"Fixed",
-			func() sim.Policy { return baselines.NewFixedKeepAlive(10) },
-			func() sim.Policy { return baselines.NewFixedKeepAliveReference(10) },
-		},
-		{
-			"HybridFunction",
-			func() sim.Policy { return baselines.NewHybridFunction(baselines.DefaultHybridConfig()) },
-			func() sim.Policy {
-				cfg := baselines.DefaultHybridConfig()
-				cfg.MapAgenda = true
-				return baselines.NewHybridFunction(cfg)
-			},
-		},
-		{
-			"HybridApplication",
-			func() sim.Policy { return baselines.NewHybridApplication(baselines.DefaultHybridConfig()) },
-			func() sim.Policy {
-				cfg := baselines.DefaultHybridConfig()
-				cfg.MapAgenda = true
-				return baselines.NewHybridApplication(cfg)
-			},
-		},
-		{
-			"Defuse",
-			func() sim.Policy { return baselines.NewDefuse(baselines.DefaultDefuseConfig()) },
-			func() sim.Policy {
-				cfg := baselines.DefaultDefuseConfig()
-				cfg.MapAgenda = true
-				return baselines.NewDefuse(cfg)
-			},
-		},
-	}
-	for _, scenario := range []string{"drift", "flashcrowd"} {
-		for seed := int64(1); seed <= 2; seed++ {
-			s := eqvSettings(seed)
-			if err := s.ApplyScenario(scenario); err != nil {
-				t.Fatal(err)
-			}
-			_, train, simTr, err := experiments.BuildWorkload(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			src, err := experiments.StreamSource(s, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, mk := range mks {
-				label := func(engine string) string {
-					return fmt.Sprintf("%s %s seed %d: %s", mk.name, scenario, seed, engine)
-				}
-				ref, err := sim.Run(scanOnly{mk.reference()}, train, simTr, sim.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ref.TotalColdStarts == 0 || ref.TotalWMT == 0 {
-					t.Fatalf("%s: degenerate workload: %+v", label("reference"), ref)
-				}
-				cases := []struct {
-					engine string
-					policy sim.Policy
-					opts   sim.Options
-				}{
-					{"map-agenda + delta accounting", mk.reference(), sim.Options{}},
-					{"wheel + scan accounting", scanOnly{mk.wheel()}, sim.Options{}},
-					{"wheel + delta accounting", mk.wheel(), sim.Options{}},
-					{"wheel sharded x3", mk.wheel(), sim.Options{Shards: 3}},
-					{"wheel streamed x2", mk.wheel(), sim.Options{Source: src}},
-				}
-				for _, c := range cases {
-					got, err := sim.Run(c.policy, train, simTr, c.opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertSameResult(t, label(c.engine), ref, got)
-				}
-			}
-		}
-	}
-}
-
 // TestRunAllParallelMatchesSequential pins RunAll's concurrent execution to
 // the per-policy sequential results, in input order.
 func TestRunAllParallelMatchesSequential(t *testing.T) {
@@ -528,77 +292,6 @@ func TestRunAllParallelMatchesSequential(t *testing.T) {
 	}
 	for i := range seq {
 		assertSameResult(t, seq[i].Policy, seq[i], got[i])
-	}
-}
-
-// TestScenarioRetrainEquivalence runs SPES over non-stationary library
-// scenarios, with and without online re-categorization, across every
-// engine: the dense per-slot reference (scan accounting), the event-driven
-// engine (delta accounting), the sharded engine, and the streamed engine
-// (cached and uncached) must all produce bit-identical results — pattern
-// drift and function churn must not open any daylight between engines, and
-// neither must mid-simulation retraining.
-func TestScenarioRetrainEquivalence(t *testing.T) {
-	for _, scenario := range []string{"drift", "churn", "flashcrowd", "deploy-wave"} {
-		for _, retrainEvery := range []int{0, 1440} {
-			for seed := int64(1); seed <= 2; seed++ {
-				s := eqvSettings(seed)
-				if err := s.ApplyScenario(scenario); err != nil {
-					t.Fatal(err)
-				}
-				_, train, simTr, err := experiments.BuildWorkload(s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				src, err := experiments.StreamSource(s, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				base := sim.Options{RetrainEvery: retrainEvery}
-				denseCfg := core.DefaultConfig()
-				denseCfg.DenseScan = true
-				ref, err := sim.Run(scanOnlyRetrain{scanOnlyTagged{core.New(denseCfg)}},
-					train, simTr, base)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ref.TotalColdStarts == 0 || ref.TotalWMT == 0 {
-					t.Fatalf("%s seed %d: degenerate workload: %+v", scenario, seed, ref)
-				}
-
-				label := func(engine string) string {
-					return fmt.Sprintf("%s retrain=%d seed %d: %s", scenario, retrainEvery, seed, engine)
-				}
-				cache := sim.NewShardCache()
-				cases := []struct {
-					engine string
-					policy sim.Policy
-					opts   sim.Options
-				}{
-					{"event+delta", core.New(core.DefaultConfig()), base},
-					{"dense+delta", core.New(denseCfg), base},
-					{"sharded x3", core.New(core.DefaultConfig()),
-						sim.Options{Shards: 3, RetrainEvery: retrainEvery}},
-					{"streamed x2", core.New(core.DefaultConfig()),
-						sim.Options{Source: src, RetrainEvery: retrainEvery}},
-					{"streamed x2 cached cold", core.New(core.DefaultConfig()),
-						sim.Options{Source: src, Cache: cache, RetrainEvery: retrainEvery}},
-					{"streamed x2 cached warm", core.New(core.DefaultConfig()),
-						sim.Options{Source: src, Cache: cache, RetrainEvery: retrainEvery}},
-				}
-				for _, c := range cases {
-					got, err := sim.Run(c.policy, train, simTr, c.opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertSameResult(t, label(c.engine), ref, got)
-				}
-				if st := cache.Stats(); st.Hits != 2 || st.Misses != 2 {
-					t.Fatalf("%s: cached passes saw hits=%d misses=%d, want 2/2", label("cache"), st.Hits, st.Misses)
-				}
-			}
-		}
 	}
 }
 

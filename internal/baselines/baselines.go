@@ -8,7 +8,10 @@
 // original papers report, as the SPES evaluation prescribes.
 package baselines
 
-import "repro/internal/trace"
+import (
+	"repro/internal/sched"
+	"repro/internal/trace"
+)
 
 // loadedSet tracks the loaded-function set with O(1) membership and count,
 // shared by the baseline policies. Every actual flip is appended to the
@@ -62,58 +65,23 @@ func (l *loadedSet) takeDeltas() []trace.FuncID {
 	return d
 }
 
-// agenda schedules per-slot callbacks keyed by an owner id and a sequence
-// number, letting policies cancel stale actions cheaply: an action fires
-// only if the owner's sequence still matches the one it was scheduled with.
-//
-// This map-backed implementation is the retained REFERENCE engine: the
-// deadline-based baselines run on a sched.Agenda timing wheel by default
-// (same firing semantics, recycled bucket storage instead of per-slot map
-// churn) and keep this one behind their MapAgenda config switches so the
-// equivalence suite can assert the wheel engine bit-identical, mirroring
-// core.Config.DenseScan.
-type agenda struct {
-	bySlot map[int][]agendaItem
-	seq    []uint32 // current sequence per owner
+// agendaEngine is the deadline agenda the deadline-based baselines (Fixed,
+// Hybrid, Defuse) schedule their per-owner actions on: an action fires only
+// if its owner was not bumped since it was scheduled. *sched.Agenda, the
+// shared timing wheel, is the engine; the package tests substitute a
+// map-backed oracle through the policies' newAgenda field.
+type agendaEngine interface {
+	Grow(owners int)
+	Bump(owner int)
+	Schedule(current, slot, owner, what int)
+	Drain(slot int, fn func(owner, what int))
+	Next(after, limit int) int
 }
 
-type agendaItem struct {
-	owner int
-	seq   uint32
-	what  int
-}
-
-func newAgenda(owners int) *agenda {
-	return &agenda{bySlot: make(map[int][]agendaItem), seq: make([]uint32, owners)}
-}
-
-// grow extends the owner space to at least owners entries.
-func (a *agenda) grow(owners int) {
-	for len(a.seq) < owners {
-		a.seq = append(a.seq, 0)
+// buildAgenda returns mk(owners, span), or a sched.Agenda when mk is nil.
+func buildAgenda(mk func(owners, span int) agendaEngine, owners, span int) agendaEngine {
+	if mk == nil {
+		return sched.NewAgenda(owners, span)
 	}
-}
-
-// bump invalidates all outstanding actions of an owner.
-func (a *agenda) bump(owner int) { a.seq[owner]++ }
-
-// schedule enqueues action `what` for the owner at the given slot, bound to
-// the owner's current sequence.
-func (a *agenda) schedule(slot, owner, what int) {
-	a.bySlot[slot] = append(a.bySlot[slot], agendaItem{owner: owner, seq: a.seq[owner], what: what})
-}
-
-// drain invokes fn for every still-valid action scheduled at slot and
-// releases the slot's storage.
-func (a *agenda) drain(slot int, fn func(owner, what int)) {
-	items, ok := a.bySlot[slot]
-	if !ok {
-		return
-	}
-	delete(a.bySlot, slot)
-	for _, it := range items {
-		if a.seq[it.owner] == it.seq {
-			fn(it.owner, it.what)
-		}
-	}
+	return mk(owners, span)
 }

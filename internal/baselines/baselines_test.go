@@ -36,21 +36,28 @@ func TestLoadedSet(t *testing.T) {
 	}
 }
 
+// TestAgenda pins the firing semantics both agenda engines share: a bumped
+// owner's pending actions are dropped, and a drained slot stays drained.
 func TestAgenda(t *testing.T) {
-	a := newAgenda(2)
-	fired := map[[2]int]int{}
-	a.schedule(5, 0, 7)
-	a.schedule(5, 1, 8)
-	a.bump(1) // invalidates owner 1's action
-	a.drain(5, func(owner, what int) { fired[[2]int{owner, what}]++ })
-	if fired[[2]int{0, 7}] != 1 {
-		t.Error("valid action did not fire")
+	for name, mk := range map[string]func(owners, span int) agendaEngine{
+		"wheel": nil,
+		"map":   newMapAgenda,
+	} {
+		a := buildAgenda(mk, 2, 16)
+		fired := map[[2]int]int{}
+		a.Schedule(-1, 5, 0, 7)
+		a.Schedule(-1, 5, 1, 8)
+		a.Bump(1) // invalidates owner 1's action
+		a.Drain(5, func(owner, what int) { fired[[2]int{owner, what}]++ })
+		if fired[[2]int{0, 7}] != 1 {
+			t.Errorf("%s: valid action did not fire", name)
+		}
+		if len(fired) != 1 {
+			t.Errorf("%s: stale action fired: %v", name, fired)
+		}
+		// Draining twice is a no-op.
+		a.Drain(5, func(owner, what int) { t.Errorf("%s: double drain", name) })
+		// Draining an empty slot is a no-op.
+		a.Drain(99, func(owner, what int) { t.Errorf("%s: phantom drain", name) })
 	}
-	if len(fired) != 1 {
-		t.Errorf("stale action fired: %v", fired)
-	}
-	// Draining twice is a no-op.
-	a.drain(5, func(owner, what int) { t.Error("double drain") })
-	// Draining an empty slot is a no-op.
-	a.drain(99, func(owner, what int) { t.Error("phantom drain") })
 }

@@ -3,26 +3,21 @@ package baselines
 import (
 	"fmt"
 
-	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
 // FixedKeepAlive keeps every function loaded for a fixed number of minutes
 // after its last invocation — the classic OpenWhisk-style policy the paper
-// runs with a 10-minute window.
-//
-// Expiries run on a shared timing wheel (sched.Agenda) by default; the
-// map-backed reference engine survives behind NewFixedKeepAliveReference for
-// the equivalence suite.
+// runs with a 10-minute window. Expiries run on the shared timing wheel.
 type FixedKeepAlive struct {
 	keepAlive int
 	name      string
-	mapAgenda bool // reference engine: map-backed agenda instead of the wheel
+	newAgenda func(owners, span int) agendaEngine // nil: sched.NewAgenda
 
-	set   *loadedSet
-	wheel *sched.Agenda // event engine (default)
-	ref   *agenda       // reference engine (mapAgenda)
-	last  []int         // last invocation slot per function, -1 when never
+	set    *loadedSet
+	agenda agendaEngine
+	expire func(owner, what int) // p.onExpire, bound once for Drain
+	last   []int                 // last invocation slot per function, -1 when never
 }
 
 // NewFixedKeepAlive creates the policy; keepAlive is in slots (minutes) and
@@ -35,15 +30,6 @@ func NewFixedKeepAlive(keepAlive int) *FixedKeepAlive {
 		keepAlive: keepAlive,
 		name:      fmt.Sprintf("Fixed-%dmin", keepAlive),
 	}
-}
-
-// NewFixedKeepAliveReference creates the policy on the retained map-backed
-// agenda — the reference engine the equivalence tests run the wheel engine
-// against (the FixedKeepAlive counterpart of core.Config.DenseScan).
-func NewFixedKeepAliveReference(keepAlive int) *FixedKeepAlive {
-	p := NewFixedKeepAlive(keepAlive)
-	p.mapAgenda = true
-	return p
 }
 
 // Name implements sim.Policy.
@@ -64,18 +50,15 @@ func (p *FixedKeepAlive) Train(training *trace.Trace) {
 		p.last[fid] = rebased
 		if expire := rebased + p.keepAlive; expire > 0 {
 			p.set.add(trace.FuncID(fid))
-			p.schedule(-1, expire, fid)
+			p.agenda.Schedule(-1, expire, fid, 0)
 		}
 	}
 }
 
 func (p *FixedKeepAlive) init(n int) {
 	p.set = newLoadedSet(n)
-	if p.mapAgenda {
-		p.ref = newAgenda(n)
-	} else {
-		p.wheel = sched.NewAgenda(n, p.keepAlive+2)
-	}
+	p.agenda = buildAgenda(p.newAgenda, n, p.keepAlive+2)
+	p.expire = p.onExpire
 	p.last = make([]int, n)
 	for i := range p.last {
 		p.last[i] = -1
@@ -88,11 +71,7 @@ func (p *FixedKeepAlive) init(n int) {
 // used to fix the size for good).
 func (p *FixedKeepAlive) grow(n int) {
 	p.set.grow(n)
-	if p.mapAgenda {
-		p.ref.grow(n)
-	} else {
-		p.wheel.Grow(n)
-	}
+	p.agenda.Grow(n)
 	for len(p.last) < n {
 		p.last = append(p.last, -1)
 	}
@@ -109,45 +88,19 @@ func (p *FixedKeepAlive) Tick(t int, invs []trace.FuncCount) {
 			p.grow(f + 1)
 		}
 		p.last[f] = t
-		p.bump(f)
-		p.schedule(t, t+p.keepAlive, f)
+		p.agenda.Bump(f)
+		p.agenda.Schedule(t, t+p.keepAlive, f, 0)
 		p.set.add(fc.Func)
 	}
-	if p.ref != nil {
-		p.ref.drain(t, func(owner, _ int) {
-			p.set.remove(trace.FuncID(owner))
-		})
-		return
-	}
-	p.wheel.Drain(t, func(owner, _ int) {
-		p.set.remove(trace.FuncID(owner))
-	})
+	p.agenda.Drain(t, p.expire)
 }
 
-func (p *FixedKeepAlive) bump(f int) {
-	if p.ref != nil {
-		p.ref.bump(f)
-		return
-	}
-	p.wheel.Bump(f)
-}
-
-func (p *FixedKeepAlive) schedule(current, slot, f int) {
-	if p.ref != nil {
-		p.ref.schedule(slot, f, 0)
-		return
-	}
-	p.wheel.Schedule(current, slot, f, 0)
-}
+func (p *FixedKeepAlive) onExpire(owner, _ int) { p.set.remove(trace.FuncID(owner)) }
 
 // NextWake implements sim.IdleSkipper: the earliest slot in (after, limit]
-// holding a scheduled expiry, -1 when there is none. The map-backed
-// reference engine reports ok=false so it stays on the per-slot path.
+// holding a scheduled expiry, -1 when there is none.
 func (p *FixedKeepAlive) NextWake(after, limit int) (int, bool) {
-	if p.wheel == nil {
-		return 0, false
-	}
-	return p.wheel.Next(after, limit), true
+	return p.agenda.Next(after, limit), true
 }
 
 // Loaded implements sim.Policy.

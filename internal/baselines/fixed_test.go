@@ -87,7 +87,7 @@ func TestFixedKeepAliveUntrainedGrowth(t *testing.T) {
 		p    *FixedKeepAlive
 	}{
 		{"wheel", NewFixedKeepAlive(3)},
-		{"reference", NewFixedKeepAliveReference(3)},
+		{"map agenda", withMapAgenda(NewFixedKeepAlive(3)).(*FixedKeepAlive)},
 	} {
 		p := mk.p
 		p.Tick(0, []trace.FuncCount{{Func: 1, Count: 1}})

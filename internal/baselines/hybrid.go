@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -21,12 +20,6 @@ type HybridConfig struct {
 	KeepAlivePct    float64 // tail percentile driving the keep-alive window (0.99)
 	Margin          float64 // safety margin: shrink pre-warm, grow keep-alive (0.10)
 	FallbackKeep    int     // keep-alive when the histogram is unusable
-
-	// MapAgenda selects the retained map-backed agenda instead of the
-	// timing wheel — the reference engine the equivalence tests run the
-	// default event engine against (the baseline counterpart of
-	// core.Config.DenseScan). Results are bit-identical either way.
-	MapAgenda bool
 }
 
 // DefaultHybridConfig returns the original paper's settings.
@@ -120,9 +113,11 @@ type Hybrid struct {
 	unitOf []int   // function -> unit index
 	fanout [][]int // unit -> functions (identity at function granularity)
 	set    *loadedSet
-	wheel  *sched.Agenda // event engine (default)
-	ref    *agenda       // reference engine (cfg.MapAgenda)
 	nFuncs int
+
+	newAgenda func(owners, span int) agendaEngine // nil: sched.NewAgenda
+	agenda    agendaEngine
+	act       func(owner, what int) // p.apply, bound once for Drain
 
 	// seenEpoch dedups unit arrivals within a slot: stamped entries match
 	// epoch, which increments every Tick — the alloc-free replacement for a
@@ -198,11 +193,8 @@ func (p *Hybrid) Train(training *trace.Trace) {
 		p.units[i] = hybridUnit{last: -1}
 	}
 	p.seenEpoch = make([]uint32, len(p.units))
-	if p.cfg.MapAgenda {
-		p.ref = newAgenda(len(p.units))
-	} else {
-		p.wheel = sched.NewAgenda(len(p.units), p.cfg.spanSlots())
-	}
+	p.agenda = buildAgenda(p.newAgenda, len(p.units), p.cfg.spanSlots())
+	p.act = p.apply
 
 	// Feed training IATs at unit granularity, then carry end-of-training
 	// state into the simulation: the unit behaves as if the policy had been
@@ -243,9 +235,9 @@ func (p *Hybrid) seedWindows(u, rebased int) {
 		if start <= 0 {
 			p.loadUnit(u)
 		} else {
-			p.schedule(-1, start, u, actPrewarm)
+			p.agenda.Schedule(-1, start, u, actPrewarm)
 		}
-		p.schedule(-1, end, u, actUnload)
+		p.agenda.Schedule(-1, end, u, actUnload)
 		return
 	}
 	keep := p.cfg.FallbackKeep
@@ -254,7 +246,7 @@ func (p *Hybrid) seedWindows(u, rebased int) {
 	}
 	if end := rebased + keep; end > 0 {
 		p.loadUnit(u)
-		p.schedule(-1, end, u, actUnload)
+		p.agenda.Schedule(-1, end, u, actUnload)
 	}
 }
 
@@ -276,65 +268,39 @@ func (p *Hybrid) Tick(t int, invs []trace.FuncCount) {
 		if unit.dirty {
 			unit.windows(p.cfg)
 		}
-		p.bump(u)
+		p.agenda.Bump(u)
 		p.loadUnit(u)
 		if unit.usable && unit.prewarm > 1 {
 			// Unload after execution, pre-warm shortly before the predicted
 			// next arrival, give up at the keep-alive horizon.
-			p.schedule(t, t+1, u, actUnload)
-			p.schedule(t, t+unit.prewarm, u, actPrewarm)
-			p.schedule(t, t+unit.prewarm+unit.keepalive, u, actUnload)
+			p.agenda.Schedule(t, t+1, u, actUnload)
+			p.agenda.Schedule(t, t+unit.prewarm, u, actPrewarm)
+			p.agenda.Schedule(t, t+unit.prewarm+unit.keepalive, u, actUnload)
 		} else if unit.usable {
 			// Degenerate head: plain keep-alive of the tail window.
-			p.schedule(t, t+unit.keepalive, u, actUnload)
+			p.agenda.Schedule(t, t+unit.keepalive, u, actUnload)
 		} else {
-			p.schedule(t, t+p.cfg.FallbackKeep, u, actUnload)
+			p.agenda.Schedule(t, t+p.cfg.FallbackKeep, u, actUnload)
 		}
 	}
 
-	p.drainAt(t)
+	p.agenda.Drain(t, p.act)
 }
 
-func (p *Hybrid) bump(u int) {
-	if p.ref != nil {
-		p.ref.bump(u)
-		return
+// apply runs one drained agenda action for unit owner.
+func (p *Hybrid) apply(owner, what int) {
+	switch what {
+	case actUnload:
+		p.unloadUnit(owner)
+	case actPrewarm:
+		p.loadUnit(owner)
 	}
-	p.wheel.Bump(u)
-}
-
-func (p *Hybrid) schedule(current, slot, u, what int) {
-	if p.ref != nil {
-		p.ref.schedule(slot, u, what)
-		return
-	}
-	p.wheel.Schedule(current, slot, u, what)
-}
-
-func (p *Hybrid) drainAt(t int) {
-	apply := func(owner, what int) {
-		switch what {
-		case actUnload:
-			p.unloadUnit(owner)
-		case actPrewarm:
-			p.loadUnit(owner)
-		}
-	}
-	if p.ref != nil {
-		p.ref.drain(t, apply)
-		return
-	}
-	p.wheel.Drain(t, apply)
 }
 
 // NextWake implements sim.IdleSkipper: the earliest slot in (after, limit]
-// holding a scheduled action, -1 when there is none. The map-backed
-// reference engine reports ok=false so it stays on the per-slot path.
+// holding a scheduled action, -1 when there is none.
 func (p *Hybrid) NextWake(after, limit int) (int, bool) {
-	if p.wheel == nil {
-		return 0, false
-	}
-	return p.wheel.Next(after, limit), true
+	return p.agenda.Next(after, limit), true
 }
 
 func (p *Hybrid) loadUnit(u int) {

@@ -13,23 +13,21 @@ import "repro/internal/sim"
 // global instance. They shard through the capacity-arbitrated engine
 // instead (sim.CapacityPolicy; see capacity.go).
 
-// NewShard implements sim.ShardedPolicy.
+// NewShard implements sim.ShardedPolicy. Shards of the deadline-based
+// policies inherit the parent's agenda constructor.
 func (p *FixedKeepAlive) NewShard() sim.Policy {
 	s := NewFixedKeepAlive(p.keepAlive)
-	s.mapAgenda = p.mapAgenda
+	s.newAgenda = p.newAgenda
 	return s
 }
 
 // NewShard implements sim.ShardedPolicy.
 func (p *Hybrid) NewShard() sim.Policy {
-	if p.appWise {
-		return NewHybridApplication(p.cfg)
-	}
-	return NewHybridFunction(p.cfg)
+	return &Hybrid{cfg: p.cfg, appWise: p.appWise, newAgenda: p.newAgenda}
 }
 
 // NewShard implements sim.ShardedPolicy.
-func (p *Defuse) NewShard() sim.Policy { return NewDefuse(p.cfg) }
+func (p *Defuse) NewShard() sim.Policy { return &Defuse{cfg: p.cfg, newAgenda: p.newAgenda} }
 
 // Shard-cache support (sim.ConfigHasher), for the same set of policies
 // (the capacity-coupled baselines hash in capacity.go). Each hash covers
@@ -37,14 +35,9 @@ func (p *Defuse) NewShard() sim.Policy { return NewDefuse(p.cfg) }
 // sim.HashConfig, so adding a config field invalidates old cache entries
 // automatically.
 
-// ConfigHash implements sim.ConfigHasher. The engine choice is part of the
-// hash even though both engines produce bit-identical results: cache entries
-// should never silently vouch for an engine that did not produce them.
+// ConfigHash implements sim.ConfigHasher.
 func (p *FixedKeepAlive) ConfigHash() uint64 {
-	return sim.HashConfig(struct {
-		KeepAlive int
-		MapAgenda bool
-	}{p.keepAlive, p.mapAgenda})
+	return sim.HashConfig(struct{ KeepAlive int }{p.keepAlive})
 }
 
 // ConfigHash implements sim.ConfigHasher. appWise is part of the hash even

@@ -31,12 +31,6 @@ type Config struct {
 	// before it is dropped from an unseen function's candidate set.
 	OnlineCorrSlack float64
 
-	// DenseScan selects the retained O(n)-per-slot reference provision loop
-	// instead of the event-driven timing-wheel engine. Both produce
-	// bit-identical simulation results (the equivalence tests assert it);
-	// the reference exists for exactly that cross-check.
-	DenseScan bool
-
 	// Ablation switches (all false in full SPES):
 	DisableCorrelation bool // "w/o Corr": no offline correlated type (Fig. 14)
 	DisableOnlineCorr  bool // "w/o Online-Corr": unseen functions stay unknown (Fig. 14)

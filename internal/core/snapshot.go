@@ -2,9 +2,11 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
+	"strings"
 
 	"repro/internal/classify"
 	"repro/internal/sched"
@@ -36,8 +38,23 @@ import (
 // state, so the restored process stays bit-identical where it matters.
 
 // snapMagic versions the encoding; any mismatch is a hard error, never a
-// guess.
-const snapMagic = "SPES-ST1"
+// guess. ST2 dropped ST1's per-function idle counter, which only a per-slot
+// scan engine maintained.
+const snapMagic = "SPES-ST2"
+
+// snapFamily is the magic prefix every SPES state version shares, so an
+// older or newer version is refused as such rather than as foreign bytes.
+const snapFamily = "SPES-ST"
+
+// errSnapshotVersion is returned for a SPES state snapshot of another
+// encoding version.
+var errSnapshotVersion = errors.New("core: unsupported SPES state snapshot version")
+
+// minFuncBytes is the smallest encoding of one function: three empty
+// strings and the trigger (25 bytes), the hot arrays (41), and a profile
+// with no values, links or online WTs (82). A claimed function count is
+// checked against it before anything is allocated.
+const minFuncBytes = 25 + 41 + 82
 
 // EncodeState serializes the policy's canonical state. The policy must be
 // trained, and any pending load deltas must have been consumed
@@ -88,7 +105,6 @@ func (s *SPES) EncodeState() ([]byte, error) {
 			e.i64(int64(l.Cand))
 			e.i64(int64(l.Lag))
 		}
-		e.i64(int64(st.currentWT))
 		e.bool(st.everTrained)
 		e.ints(st.onlineWTs)
 		e.i64(int64(st.wtHead))
@@ -121,28 +137,38 @@ func (s *SPES) EncodeState() ([]byte, error) {
 // freshly constructed (untrained) instance. The configuration must match the
 // snapshotting policy's — the embedded config hash is verified, because
 // thresholds baked into profiles and deadlines are meaningless under a
-// different config.
+// different config. The bytes are untrusted: every value EncodeState cannot
+// produce is refused with an error, and no allocation is sized by a count
+// the remaining input could not back.
 func (s *SPES) RestoreState(data []byte) error {
 	if s.states != nil {
 		return fmt.Errorf("core: RestoreState on an already-initialized policy")
 	}
 	d := &stateDec{buf: data}
-	if string(d.take(len(snapMagic))) != snapMagic {
-		return fmt.Errorf("core: snapshot magic mismatch (not a SPES state snapshot, or a different version)")
+	if magic := string(d.take(len(snapMagic))); magic != snapMagic {
+		if strings.HasPrefix(magic, snapFamily) {
+			return fmt.Errorf("%w: %q (this build reads %q)", errSnapshotVersion, magic, snapMagic)
+		}
+		return fmt.Errorf("core: snapshot magic mismatch (not a SPES state snapshot)")
 	}
 	if h := d.u64(); h != sim.HashConfig(s.cfg) {
 		return fmt.Errorf("core: snapshot was taken under a different SPES config (hash %016x, have %016x)",
 			h, sim.HashConfig(s.cfg))
 	}
-	s.trainSlots = int(d.i64())
-	s.lastTick = int(d.i64())
-	n := int(d.i64())
+	trainSlots := d.i64()
+	lastTick := d.i64()
+	n := d.count(minFuncBytes)
 	if d.err != nil {
-		return fmt.Errorf("core: truncated snapshot header: %w", d.err)
+		return fmt.Errorf("core: bad snapshot header: %w", d.err)
 	}
-	if n < 0 || n > 1<<31 {
-		return fmt.Errorf("core: snapshot claims %d functions", n)
+	if trainSlots < 0 || trainSlots > math.MaxInt32 {
+		return fmt.Errorf("core: snapshot training window of %d slots", trainSlots)
 	}
+	if lastTick < -1 || lastTick >= math.MaxInt32 {
+		return fmt.Errorf("core: snapshot engine clock at slot %d", lastTick)
+	}
+	s.trainSlots = int(trainSlots)
+	s.lastTick = int(lastTick)
 
 	s.meta = make([]trace.Function, n)
 	s.states = make([]funcState, n)
@@ -159,25 +185,50 @@ func (s *SPES) RestoreState(data []byte) error {
 	}
 
 	for fid := 0; fid < n; fid++ {
-		s.meta[fid] = trace.Function{
+		f := trace.Function{
 			ID:      trace.FuncID(fid),
 			Name:    d.str(),
 			App:     d.str(),
 			User:    d.str(),
 			Trigger: trace.Trigger(d.u8()),
 		}
+		if _, err := trace.ParseTrigger(f.Trigger.String()); err != nil && d.err == nil {
+			d.fail("function %d has trigger %d", fid, f.Trigger)
+		}
+		s.meta[fid] = f
 	}
 	s.loadedCount = 0
 	for fid := 0; fid < n; fid++ {
-		s.lastInvoked[fid] = int32(d.i64())
-		s.eventSlot[fid] = int32(d.i64())
-		s.seq[fid] = uint32(d.u64())
+		s.lastInvoked[fid] = d.i32()
+		s.eventSlot[fid] = d.i32()
+		s.seq[fid] = d.u32()
 		s.loaded[fid] = d.bool()
-		s.preloadUntil[fid] = int32(d.i64())
+		s.preloadUntil[fid] = d.i32()
 		s.wtOff[fid] = int8(d.i64())
 		if s.loaded[fid] {
 			s.loadedCount++
 		}
+		if d.err != nil {
+			break
+		}
+		// Train and Admit rebase a function's last invocation to no earlier
+		// than the training window's start, Tick to no later than its own
+		// clock; a live deadline always lies after the clock.
+		if last := int(s.lastInvoked[fid]); last < -s.trainSlots || last > s.lastTick {
+			d.fail("function %d last invoked at slot %d", fid, last)
+		}
+		if ev := int(s.eventSlot[fid]); ev != -1 && ev <= s.lastTick {
+			d.fail("function %d has a deadline at slot %d, clock at %d", fid, ev, s.lastTick)
+		}
+		if s.preloadUntil[fid] < -1 {
+			d.fail("function %d pre-loads through slot %d", fid, s.preloadUntil[fid])
+		}
+		if off := s.wtOff[fid]; off != 0 && off != 1 {
+			d.fail("function %d has WT offset %d", fid, off)
+		}
+	}
+	if d.err != nil {
+		return fmt.Errorf("core: bad snapshot: %w", d.err)
 	}
 	for fid := 0; fid < n; fid++ {
 		st := &s.states[fid]
@@ -190,29 +241,35 @@ func (s *SPES) RestoreState(data []byte) error {
 			StdWT:    d.f64(),
 			WTCount:  int(d.i64()),
 		}
-		if links := int(d.i64()); links > 0 {
-			if links > len(d.buf) {
-				return fmt.Errorf("core: snapshot function %d claims %d links", fid, links)
-			}
+		if links := d.count(16); links > 0 {
 			st.profile.Links = make([]classify.Link, links)
 			for i := range st.profile.Links {
-				st.profile.Links[i] = classify.Link{Cand: int32(d.i64()), Lag: int32(d.i64())}
+				cand := d.i64()
+				if d.err == nil && (cand < 0 || cand >= int64(n)) {
+					return fmt.Errorf("core: snapshot function %d links to candidate %d of %d", fid, cand, n)
+				}
+				st.profile.Links[i] = classify.Link{Cand: int32(cand), Lag: d.i32()}
 			}
 		}
-		st.currentWT = int(d.i64())
 		st.everTrained = d.bool()
 		st.onlineWTs = d.ints()
-		st.wtHead = int32(d.i64())
+		st.wtHead = d.i32()
 		st.adjustedAt = int(d.i64())
+		if d.err != nil {
+			return fmt.Errorf("core: bad snapshot: %w", d.err)
+		}
+		if st.profile.Type >= classify.NumTypes {
+			return fmt.Errorf("core: snapshot function %d has type %d", fid, st.profile.Type)
+		}
+		if err := st.checkOnlineWTs(); err != nil {
+			return fmt.Errorf("core: snapshot function %d: %w", fid, err)
+		}
 
 		// Derived views: the type cache, the link reverse index, and the
 		// online-WT histogram (histAdd over any sample order rebuilds the
 		// same multiset the live instance maintained incrementally).
 		s.typ[fid] = st.profile.Type
 		for _, l := range st.profile.Links {
-			if l.Cand < 0 || int(l.Cand) >= n {
-				return fmt.Errorf("core: snapshot function %d links to candidate %d of %d", fid, l.Cand, n)
-			}
 			s.listeners[l.Cand] = append(s.listeners[l.Cand], listener{
 				target: trace.FuncID(fid), lag: l.Lag,
 			})
@@ -221,36 +278,13 @@ func (s *SPES) RestoreState(data []byte) error {
 			st.histAdd(wt)
 		}
 	}
-	if d.bool() {
-		s.ucorr = newOnlineCorr(s.meta, s.cfg)
-		for fid := 0; fid < n; fid++ {
-			s.ucorr.lastFired[fid] = int(d.i64())
-		}
-		for fid := 0; fid < n; fid++ {
-			if !d.bool() {
-				continue
-			}
-			tgt := &utarget{fid: trace.FuncID(fid), invocations: int(d.i64())}
-			cands := int(d.i64())
-			if cands < 0 || cands > len(d.buf)+1 {
-				return fmt.Errorf("core: snapshot target %d claims %d candidates", fid, cands)
-			}
-			tgt.cands = make([]ucandidate, cands)
-			for i := range tgt.cands {
-				cand := int(d.i64())
-				if cand < 0 || cand >= n {
-					return fmt.Errorf("core: snapshot target %d names candidate %d of %d", fid, cand, n)
-				}
-				tgt.cands[i] = ucandidate{
-					fid:   trace.FuncID(cand),
-					hits:  int(d.i64()),
-					fires: int(d.i64()),
-				}
-			}
-			s.ucorr.targets[fid] = tgt
-			for _, c := range tgt.cands {
-				s.ucorr.byCandidate[c.fid] = append(s.ucorr.byCandidate[c.fid], tgt)
-			}
+	// Train creates the online-correlation state exactly when the config
+	// enables it.
+	if hasCorr := d.bool(); d.err == nil && hasCorr == s.cfg.DisableOnlineCorr {
+		return fmt.Errorf("core: snapshot online-correlation state (%v) contradicts the config", hasCorr)
+	} else if hasCorr {
+		if err := s.restoreOnlineCorr(d); err != nil {
+			return err
 		}
 	}
 	if d.err != nil {
@@ -264,14 +298,83 @@ func (s *SPES) RestoreState(data []byte) error {
 	// deadline. Stale-seq events the live wheel still carried are not
 	// recreated; they were no-ops there and their absence only spares a
 	// wake-up that would have changed nothing.
-	if !s.cfg.DenseScan {
-		s.wheel = sched.NewWheel(wheelSpan)
-		for fid := 0; fid < n; fid++ {
-			if ev := s.eventSlot[fid]; ev >= 0 {
-				s.wheel.Schedule(s.lastTick, int(ev), sched.Event{
-					Owner: int32(fid), Slot: ev, Seq: s.seq[fid],
-				})
+	s.wheel = sched.NewWheel(wheelSpan)
+	for fid := 0; fid < n; fid++ {
+		if ev := s.eventSlot[fid]; ev >= 0 {
+			s.wheel.Schedule(s.lastTick, int(ev), sched.Event{
+				Owner: int32(fid), Slot: ev, Seq: s.seq[fid],
+			})
+		}
+	}
+	return nil
+}
+
+// checkOnlineWTs refuses an online-WT history recordOnlineWT could not have
+// built: samples are positive, at most maxOnlineWTs of them, the ring head
+// moves only once the ring is full, and adjustment never runs ahead of the
+// samples.
+func (st *funcState) checkOnlineWTs() error {
+	k := len(st.onlineWTs)
+	if k > maxOnlineWTs {
+		return fmt.Errorf("%d online WTs, at most %d are kept", k, maxOnlineWTs)
+	}
+	for _, wt := range st.onlineWTs {
+		if wt <= 0 {
+			return fmt.Errorf("online WT %d", wt)
+		}
+	}
+	if st.wtHead < 0 || (k < maxOnlineWTs && st.wtHead != 0) || st.wtHead >= maxOnlineWTs {
+		return fmt.Errorf("online-WT ring head %d with %d samples", st.wtHead, k)
+	}
+	if st.adjustedAt < 0 || st.adjustedAt > k {
+		return fmt.Errorf("adjusted at %d of %d online WTs", st.adjustedAt, k)
+	}
+	return nil
+}
+
+// restoreOnlineCorr decodes the online-correlation section of a snapshot:
+// every function's last firing, then each unseen target's candidate set.
+func (s *SPES) restoreOnlineCorr(d *stateDec) error {
+	n := len(s.states)
+	s.ucorr = newOnlineCorr(s.meta, s.cfg)
+	for fid := 0; fid < n; fid++ {
+		s.ucorr.lastFired[fid] = int(d.i64())
+		if v := s.ucorr.lastFired[fid]; d.err == nil && (v < -1 || v > s.lastTick) {
+			d.fail("function %d last fired at slot %d", fid, v)
+		}
+	}
+	for fid := 0; fid < n; fid++ {
+		if !d.bool() {
+			continue
+		}
+		tgt := &utarget{fid: trace.FuncID(fid), invocations: int(d.i64())}
+		cands := d.count(24)
+		if d.err != nil {
+			return fmt.Errorf("core: bad snapshot: %w", d.err)
+		}
+		if tgt.invocations < 0 || cands > s.cfg.OnlineCandidateCap {
+			return fmt.Errorf("core: snapshot target %d has %d invocations and %d candidates",
+				fid, tgt.invocations, cands)
+		}
+		tgt.cands = make([]ucandidate, cands)
+		for i := range tgt.cands {
+			cand := d.i64()
+			if d.err == nil && (cand < 0 || cand >= int64(n)) {
+				return fmt.Errorf("core: snapshot target %d names candidate %d of %d", fid, cand, n)
 			}
+			c := ucandidate{fid: trace.FuncID(cand), hits: int(d.i64()), fires: int(d.i64())}
+			if c.hits < 0 || c.fires < 0 {
+				return fmt.Errorf("core: snapshot target %d candidate %d has %d hits in %d fires",
+					fid, cand, c.hits, c.fires)
+			}
+			tgt.cands[i] = c
+		}
+		if d.err != nil {
+			return fmt.Errorf("core: bad snapshot: %w", d.err)
+		}
+		s.ucorr.targets[fid] = tgt
+		for _, c := range tgt.cands {
+			s.ucorr.byCandidate[c.fid] = append(s.ucorr.byCandidate[c.fid], tgt)
 		}
 	}
 	return nil
@@ -291,14 +394,9 @@ func (s *SPES) StateHash() (uint64, error) {
 	return h.Sum64(), nil
 }
 
-// WheelDepth reports the live timing-wheel event count (0 under DenseScan),
-// a queue-depth gauge for serving metrics.
-func (s *SPES) WheelDepth() int {
-	if s.wheel == nil {
-		return 0
-	}
-	return s.wheel.Live()
-}
+// WheelDepth reports the live timing-wheel event count, a queue-depth gauge
+// for serving metrics.
+func (s *SPES) WheelDepth() int { return s.wheel.Live() }
 
 // Admit grows the policy by one function observed for the first time after
 // training — the live-admission path of the serving daemon. The newcomer is
@@ -313,7 +411,6 @@ func (s *SPES) Admit(f trace.Function) trace.FuncID {
 	f.ID = fid
 	s.meta = append(s.meta, f)
 	s.states = append(s.states, funcState{})
-	s.states[fid].currentWT = s.trainSlots
 	s.listeners = append(s.listeners, nil)
 	s.lastInvoked = append(s.lastInvoked, int32(-s.trainSlots))
 	s.eventSlot = append(s.eventSlot, -1)
@@ -370,19 +467,24 @@ func (e *stateEnc) ints(v []int) {
 	}
 }
 
-// stateDec consumes a stateEnc buffer; the first short read latches err and
-// every later read returns zero, so decode loops stay linear and the caller
-// checks err once per section.
+// stateDec consumes a stateEnc buffer; the first short read or
+// out-of-range value latches err and every later read returns zero, so
+// decode loops stay linear and the caller checks err once per section.
 type stateDec struct {
 	buf []byte
 	err error
 }
 
+// fail latches a decode error unless one is already latched.
+func (d *stateDec) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf(format, args...)
+	}
+}
+
 func (d *stateDec) take(n int) []byte {
 	if d.err != nil || n < 0 || n > len(d.buf) {
-		if d.err == nil {
-			d.err = fmt.Errorf("need %d bytes, have %d", n, len(d.buf))
-		}
+		d.fail("need %d bytes, have %d", n, len(d.buf))
 		return nil
 	}
 	b := d.buf[:n]
@@ -405,17 +507,49 @@ func (d *stateDec) u64() uint64 {
 }
 func (d *stateDec) i64() int64   { return int64(d.u64()) }
 func (d *stateDec) f64() float64 { return math.Float64frombits(d.u64()) }
-func (d *stateDec) bool() bool   { return d.u8() != 0 }
 func (d *stateDec) str() string  { return string(d.take(int(d.i64()))) }
-func (d *stateDec) ints() []int {
-	n := int(d.i64())
-	if n == 0 {
-		return nil
+
+// i32 and u32 read the 64-bit fields that hold 32-bit state; a value that
+// does not fit could not have been encoded.
+func (d *stateDec) i32() int32 {
+	v := d.i64()
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		d.fail("value %d overflows int32", v)
+		return 0
 	}
-	if n < 0 || n*8 > len(d.buf) {
-		if d.err == nil {
-			d.err = fmt.Errorf("int slice claims %d entries, %d bytes left", n, len(d.buf))
-		}
+	return int32(v)
+}
+func (d *stateDec) u32() uint32 {
+	v := d.u64()
+	if v > math.MaxUint32 {
+		d.fail("value %d overflows uint32", v)
+		return 0
+	}
+	return uint32(v)
+}
+
+func (d *stateDec) bool() bool {
+	b := d.u8()
+	if b > 1 {
+		d.fail("bool byte %d", b)
+	}
+	return b == 1
+}
+
+// count reads a length field whose entries take at least minBytes each and
+// refuses one the remaining input cannot back.
+func (d *stateDec) count(minBytes int) int {
+	n := d.i64()
+	if n < 0 || n > int64(len(d.buf)/minBytes) {
+		d.fail("count %d with %d bytes left", n, len(d.buf))
+		return 0
+	}
+	return int(n)
+}
+
+func (d *stateDec) ints() []int {
+	n := d.count(8)
+	if n == 0 {
 		return nil
 	}
 	out := make([]int, n)

@@ -1,8 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"runtime"
 	"testing"
 
+	"repro/internal/classify"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -106,35 +111,226 @@ func TestStateSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStateSnapshotRejectsDamage(t *testing.T) {
+// snapshotAt trains SPES on snapshotTrace and ticks it through the first
+// ticks simulated slots, ready to encode.
+func snapshotAt(tb testing.TB, ticks int) *SPES {
+	tb.Helper()
 	full := snapshotTrace(8 * 1440)
 	train, simTr := full.Split(6 * 1440)
-	orig := New(DefaultConfig())
-	orig.Train(train)
+	p := New(DefaultConfig())
+	p.Train(train)
 	idx := simTr.BuildSlotIndex()
-	for s := 0; s < 200; s++ {
-		orig.Tick(s, idx.Invocations[s])
+	for s := 0; s < ticks; s++ {
+		p.Tick(s, idx.Invocations[s])
 	}
-	orig.TakeLoadDeltas()
-	data, err := orig.EncodeState()
+	p.TakeLoadDeltas()
+	return p
+}
+
+func mustEncode(tb testing.TB, p *SPES) []byte {
+	tb.Helper()
+	data, err := p.EncodeState()
 	if err != nil {
-		t.Fatalf("EncodeState: %v", err)
+		tb.Fatalf("EncodeState: %v", err)
+	}
+	return data
+}
+
+// damagedSnapshot is one snapshot EncodeState cannot have produced from a
+// live policy; RestoreState must refuse it with an error.
+type damagedSnapshot struct {
+	name string
+	data []byte
+}
+
+// damagedSnapshots derives every refusal case from one valid snapshot:
+// byte-level damage (truncation, trailing bytes, out-of-range fields,
+// counts the input cannot back, the previous format version) and states
+// that no sequence of Train/Tick/Retrain/Admit reaches, encoded from a
+// deliberately corrupted policy.
+func damagedSnapshots(tb testing.TB) (valid []byte, cases []damagedSnapshot) {
+	tb.Helper()
+	valid = mustEncode(tb, snapshotAt(tb, 200))
+	bytesCase := func(name string, edit func(b []byte) []byte) {
+		cases = append(cases, damagedSnapshot{name, edit(append([]byte(nil), valid...))})
+	}
+	stateCase := func(name string, corrupt func(p *SPES)) {
+		p := New(DefaultConfig())
+		if err := p.RestoreState(valid); err != nil {
+			tb.Fatalf("RestoreState(valid): %v", err)
+		}
+		corrupt(p)
+		cases = append(cases, damagedSnapshot{name, mustEncode(tb, p)})
+	}
+	le := binary.LittleEndian
+
+	// Header: magic | config hash | trainSlots | lastTick | n at byte 32.
+	bytesCase("truncated", func(b []byte) []byte { return b[:len(b)/2] })
+	bytesCase("trailing byte", func(b []byte) []byte { return append(b, 0) })
+	bytesCase("format version ST1", func(b []byte) []byte { return append([]byte("SPES-ST1"), b[8:]...) })
+	bytesCase("negative training window", func(b []byte) []byte { le.PutUint64(b[16:], ^uint64(0)); return b })
+	bytesCase("clock before -1", func(b []byte) []byte { le.PutUint64(b[24:], uint64(1<<64-5)); return b })
+	bytesCase("function count beyond input", func(b []byte) []byte { le.PutUint64(b[32:], 1<<16); return b })
+	bytesCase("negative function count", func(b []byte) []byte { le.PutUint64(b[32:], ^uint64(0)); return b })
+
+	// The hot arrays of function 0 follow the metadata: lastInvoked,
+	// eventSlot, seq (i64 each), loaded (bool), preloadUntil, wtOff.
+	p := New(DefaultConfig())
+	if err := p.RestoreState(valid); err != nil {
+		tb.Fatalf("RestoreState(valid): %v", err)
+	}
+	arr := 40
+	for _, f := range p.meta {
+		arr += 3*8 + len(f.Name) + len(f.App) + len(f.User) + 1
+	}
+	bytesCase("lastInvoked overflows int32", func(b []byte) []byte { b[arr+4] = 1; return b })
+	bytesCase("seq overflows uint32", func(b []byte) []byte { b[arr+16+4] = 1; return b })
+	bytesCase("bool byte 2", func(b []byte) []byte { b[arr+24] = 2; return b })
+
+	stateCase("trigger 200", func(p *SPES) { p.meta[0].Trigger = 200 })
+	stateCase("type 200", func(p *SPES) { p.states[0].profile.Type = 200 })
+	stateCase("type NumTypes", func(p *SPES) { p.states[0].profile.Type = classify.NumTypes })
+	stateCase("WT offset 2", func(p *SPES) { p.wtOff[0] = 2 })
+	stateCase("last invocation after the clock", func(p *SPES) { p.lastInvoked[0] = int32(p.lastTick + 1) })
+	stateCase("last invocation before the training window", func(p *SPES) { p.lastInvoked[0] = int32(-p.trainSlots - 1) })
+	stateCase("deadline at the clock", func(p *SPES) { p.eventSlot[0] = int32(p.lastTick) })
+	stateCase("pre-load through slot -2", func(p *SPES) { p.preloadUntil[0] = -2 })
+	stateCase("online WT -5", func(p *SPES) {
+		st := &p.states[2]
+		st.onlineWTs, st.wtHead, st.adjustedAt = []int{-5}, 0, 0
+	})
+	stateCase("online WT 0", func(p *SPES) {
+		st := &p.states[2]
+		st.onlineWTs, st.wtHead, st.adjustedAt = []int{3, 0}, 0, 0
+	})
+	stateCase("more online WTs than kept", func(p *SPES) {
+		st := &p.states[2]
+		st.onlineWTs, st.wtHead, st.adjustedAt = make([]int, maxOnlineWTs+1), 0, 0
+		for i := range st.onlineWTs {
+			st.onlineWTs[i] = i + 1
+		}
+	})
+	stateCase("ring head before the ring is full", func(p *SPES) {
+		st := &p.states[2]
+		st.onlineWTs, st.wtHead, st.adjustedAt = []int{4, 5}, 1, 0
+	})
+	stateCase("ring head past the ring", func(p *SPES) {
+		st := &p.states[2]
+		st.onlineWTs, st.wtHead, st.adjustedAt = make([]int, maxOnlineWTs), maxOnlineWTs, 0
+		for i := range st.onlineWTs {
+			st.onlineWTs[i] = i + 1
+		}
+	})
+	stateCase("adjusted past the samples", func(p *SPES) {
+		st := &p.states[2]
+		st.onlineWTs, st.wtHead, st.adjustedAt = []int{4, 5}, 0, 3
+	})
+	stateCase("link to a missing candidate", func(p *SPES) {
+		p.states[0].profile.Links = []classify.Link{{Cand: int32(len(p.states)), Lag: 1}}
+	})
+	stateCase("last firing after the clock", func(p *SPES) { p.ucorr.lastFired[0] = p.lastTick + 1 })
+	stateCase("more candidates than the cap", func(p *SPES) {
+		tgt := &utarget{fid: 4}
+		for i := 0; i <= p.cfg.OnlineCandidateCap; i++ {
+			tgt.cands = append(tgt.cands, ucandidate{fid: 0})
+		}
+		p.ucorr.targets[4] = tgt
+	})
+	stateCase("candidate outside the population", func(p *SPES) {
+		p.ucorr.targets[4] = &utarget{fid: 4, cands: []ucandidate{{fid: trace.FuncID(len(p.states))}}}
+	})
+	return valid, cases
+}
+
+func TestStateSnapshotRejectsDamage(t *testing.T) {
+	valid, cases := damagedSnapshots(t)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if err := New(DefaultConfig()).RestoreState(c.data); err == nil {
+				t.Fatal("damaged snapshot restored without error")
+			}
+		})
 	}
 
-	if err := New(DefaultConfig()).RestoreState(data[:len(data)/2]); err == nil {
-		t.Error("truncated snapshot restored without error")
-	}
-	if err := New(DefaultConfig()).RestoreState(append(append([]byte{}, data...), 0)); err == nil {
-		t.Error("snapshot with trailing bytes restored without error")
-	}
 	other := DefaultConfig()
 	other.Classify.ThetaPrewarm += 1
-	if err := New(other).RestoreState(data); err == nil {
+	if err := New(other).RestoreState(valid); err == nil {
 		t.Error("snapshot restored under a different config")
 	}
-	if err := orig.RestoreState(data); err == nil {
+	trained := New(DefaultConfig())
+	if err := trained.RestoreState(valid); err != nil {
+		t.Fatalf("RestoreState(valid): %v", err)
+	}
+	if err := trained.RestoreState(valid); err == nil {
 		t.Error("RestoreState succeeded on an already-trained policy")
 	}
+}
+
+// TestStateSnapshotRefusesOldVersion pins the version bump: a snapshot of
+// the previous encoding is refused as a version mismatch, never decoded.
+func TestStateSnapshotRefusesOldVersion(t *testing.T) {
+	valid := mustEncode(t, snapshotAt(t, 200))
+	st1 := append([]byte("SPES-ST1"), valid[len(snapMagic):]...)
+	err := New(DefaultConfig()).RestoreState(st1)
+	if !errors.Is(err, errSnapshotVersion) {
+		t.Fatalf("ST1 payload: got %v, want errSnapshotVersion", err)
+	}
+}
+
+// TestRestoreStateBoundsAllocation checks that a function count the input
+// cannot back is refused before any per-function state is allocated.
+func TestRestoreStateBoundsAllocation(t *testing.T) {
+	valid := mustEncode(t, snapshotAt(t, 0))
+	data := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint64(data[32:], 1<<16)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := New(DefaultConfig()).RestoreState(data)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("snapshot claiming 65536 functions restored")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("refusing a 65536-function claim over %d bytes allocated %d bytes", len(data), grew)
+	}
+}
+
+// FuzzRestoreState feeds RestoreState arbitrary bytes. It must never panic;
+// a snapshot it accepts must re-encode to exactly the same bytes and keep
+// ticking for 100 slots.
+func FuzzRestoreState(f *testing.F) {
+	for _, ticks := range []int{0, 200, 2 * 1440} {
+		f.Add(mustEncode(f, snapshotAt(f, ticks)))
+	}
+	_, cases := damagedSnapshots(f)
+	for _, c := range cases {
+		f.Add(c.data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := New(DefaultConfig())
+		if err := p.RestoreState(data); err != nil {
+			return
+		}
+		again, err := p.EncodeState()
+		if err != nil {
+			t.Fatalf("EncodeState after an accepted restore: %v", err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted snapshot re-encodes differently:\n in  %x\n out %x", data, again)
+		}
+		// Function f fires every (f%5)+2 slots.
+		n, from := p.NumFunctions(), p.lastTick+1
+		for s := from; s < from+100; s++ {
+			var invs []trace.FuncCount
+			for fid := 0; fid < n; fid++ {
+				if s%(fid%5+2) == 0 {
+					invs = append(invs, trace.FuncCount{Func: trace.FuncID(fid), Count: 1})
+				}
+			}
+			p.Tick(s, invs)
+			p.TakeLoadDeltas()
+		}
+	})
 }
 
 func TestEncodeStateRequiresDrainedDeltas(t *testing.T) {

@@ -26,7 +26,6 @@ const wheelSpan = 2048
 type funcState struct {
 	profile classify.Profile
 
-	currentWT   int  // idle slots since the last invocation (maintained by the dense reference loop only)
 	everTrained bool // invoked at least once in the training window
 
 	// onlineWTs are the last maxOnlineWTs waiting times observed during
@@ -82,8 +81,7 @@ type SPES struct {
 	ucorr *onlineCorr
 
 	// wheel holds every idle function's next actionable deadline (eviction,
-	// pre-load expiry, predicted pre-warm). nil when cfg.DenseScan selects
-	// the per-slot reference loop.
+	// pre-load expiry, predicted pre-warm).
 	wheel *sched.Wheel
 
 	// deltas logs the FuncIDs whose loaded state flipped since the last
@@ -128,17 +126,18 @@ func (s *SPES) Name() string { return "SPES" }
 func (s *SPES) NewShard() sim.Policy { return New(s.cfg) }
 
 // ConfigHash implements sim.ConfigHasher: a content hash of the complete
-// Config — classification thresholds, provision parameters, engine choice
-// (DenseScan) and every ablation switch — so the shard cache can tell any
-// two behaviourally distinct SPES configurations apart. sim.HashConfig
+// Config — classification thresholds, provision parameters and every
+// ablation switch — so the shard cache can tell any two behaviourally
+// distinct SPES configurations apart. sim.HashConfig
 // walks every field reflectively; fields added to Config (or
 // classify.Config) are hashed automatically.
 func (s *SPES) ConfigHash() uint64 { return sim.HashConfig(s.cfg) }
 
 // Train runs the offline phase: categorize every function from its training
 // history, build the correlated-link reverse index, seed per-function state
-// (last invocation, current WT) so predictions straddle the train/sim
-// boundary, and register never-trained functions for online correlation.
+// (last invocation, lazy-WT offset) so predictions straddle the train/sim
+// boundary, arm every function's first wheel deadline, and register
+// never-trained functions for online correlation.
 func (s *SPES) Train(training *trace.Trace) {
 	n := training.NumFunctions()
 	s.meta = training.Functions
@@ -172,10 +171,8 @@ func (s *SPES) Train(training *trace.Trace) {
 			// first simulated minute: a last training invocation at
 			// trainSlots-1 becomes -1.
 			s.lastInvoked[fid] = last - int32(training.Slots)
-			st.currentWT = -int(s.lastInvoked[fid]) - 1
 		} else {
 			s.lastInvoked[fid] = int32(-training.Slots)
-			st.currentWT = training.Slots
 			s.wtOff[fid] = 1
 		}
 		for _, l := range st.profile.Links {
@@ -186,11 +183,12 @@ func (s *SPES) Train(training *trace.Trace) {
 		}
 
 		// Carry end-of-training residency into the simulation: SPES would
-		// have kept the function loaded if its idle time is still under the
-		// eviction patience or a predicted invocation is imminent.
-		if st.everTrained &&
+		// have kept the function loaded if its idle time at the boundary is
+		// still under the eviction patience or a predicted invocation is
+		// imminent.
+		if idle := -int(s.lastInvoked[fid]) - 1; st.everTrained &&
 			(st.profile.Type == classify.TypeAlwaysWarm ||
-				st.currentWT < s.thetaGivenup(st.profile.Type) ||
+				idle < s.thetaGivenup(st.profile.Type) ||
 				s.shouldPreload(trace.FuncID(fid), 0)) {
 			s.load(trace.FuncID(fid))
 		}
@@ -205,12 +203,10 @@ func (s *SPES) Train(training *trace.Trace) {
 		}
 	}
 
-	if !s.cfg.DenseScan {
-		s.wheel = sched.NewWheel(wheelSpan)
-		s.lastTick = -1
-		for fid := range s.states {
-			s.ensureWake(trace.FuncID(fid), -1)
-		}
+	s.wheel = sched.NewWheel(wheelSpan)
+	s.lastTick = -1
+	for fid := range s.states {
+		s.ensureWake(trace.FuncID(fid), -1)
 	}
 }
 
@@ -240,10 +236,10 @@ func (s *SPES) TypeOf(f trace.FuncID) string { return s.states[f].profile.Type.S
 //
 // Per the sim.Retrainer contract the loaded set is NOT touched here: only
 // profiles, the cached type array, and the correlated-link reverse index
-// change, and every timing-wheel deadline is re-armed so the event-driven
-// engine reacts to the new profiles on exactly the slots the dense
-// reference would (a deadline that moved earlier is rescheduled via the seq
-// bump; one that moved later fires early as a no-op and re-evaluates).
+// change, and every timing-wheel deadline is re-armed so the engine reacts
+// to the new profiles on exactly the slots a per-slot scan would (a
+// deadline that moved earlier is rescheduled via the seq bump; one that
+// moved later fires early as a no-op and re-evaluates).
 // Online-WT history, lastInvoked, and the online-correlation candidate
 // state all survive retraining — they are observations, not conclusions.
 func (s *SPES) Retrain(t int, window *trace.Trace) {
@@ -263,13 +259,11 @@ func (s *SPES) Retrain(t int, window *trace.Trace) {
 			})
 		}
 	}
-	if s.wheel != nil {
-		// Never-late re-establishment under the new profiles: s.lastTick is
-		// t-1 here (Retrain lands before Tick(t)), so re-armed deadlines
-		// start at slot t and drain inside the upcoming Tick.
-		for fid := range s.states {
-			s.ensureWake(trace.FuncID(fid), s.lastTick)
-		}
+	// Never-late re-establishment under the new profiles: s.lastTick is t-1
+	// here (Retrain lands before Tick(t)), so re-armed deadlines start at
+	// slot t and drain inside the upcoming Tick.
+	for fid := range s.states {
+		s.ensureWake(trace.FuncID(fid), s.lastTick)
 	}
 }
 
@@ -294,16 +288,11 @@ func (s *SPES) unload(fid trace.FuncID) {
 	}
 }
 
-// Tick implements Algorithm 1 for one slot. The default engine is
-// event-driven: it touches only the slot's invoked functions plus the
-// functions whose scheduled deadline is t. cfg.DenseScan selects the
-// per-slot reference scan instead (same results, O(n) per slot).
+// Tick implements Algorithm 1 for one slot, event-driven: it touches only
+// the slot's invoked functions plus the functions whose scheduled deadline
+// is t, yet decides exactly as the paper's per-slot scan over every
+// function (the package tests keep that scan as the oracle).
 func (s *SPES) Tick(t int, invs []trace.FuncCount) {
-	if s.wheel == nil {
-		s.tickDense(t, invs)
-		return
-	}
-
 	// Callers may advance t with gaps — the simulator's batch-advance skips
 	// slots with no invocations and no deadlines, and ad-hoc unit drivers do
 	// as they please — so drain the skipped slots' deadlines in order first.
@@ -317,8 +306,8 @@ func (s *SPES) Tick(t int, invs []trace.FuncCount) {
 	s.lastTick = t
 
 	// Lines 3-12 for the invoked functions: record the finished WT (the
-	// dense loop's currentWT is t - lastInvoked - 1 here), reset, adapt,
-	// load, and invalidate any pending deadline.
+	// idle slots since the last invocation, t - lastInvoked - 1), reset,
+	// adapt, load, and invalidate any pending deadline.
 	for _, fc := range invs {
 		fid := fc.Func
 		last := int(s.lastInvoked[fid])
@@ -333,60 +322,9 @@ func (s *SPES) Tick(t int, invs []trace.FuncCount) {
 	}
 
 	// Lines 13-20 for the functions whose deadline is t: the idle step is
-	// evaluated exactly as the dense loop would, so a stale-but-valid
+	// evaluated exactly as the per-slot scan would, so a stale-but-valid
 	// wake-up is at worst a no-op.
 	s.drainSlot(t)
-
-	// Indicator-driven pre-loading: offline correlated links and online
-	// correlation for unseen functions (line 22, UCorr.update()).
-	for _, fc := range invs {
-		for _, l := range s.listeners[fc.Func] {
-			s.preloadThrough(l.target, t, t+int(l.lag)+s.cfg.Classify.ThetaPrewarm)
-		}
-	}
-	if s.ucorr != nil {
-		s.ucorr.observe(t, invs, s)
-	}
-}
-
-// tickDense is the retained O(n)-per-slot reference implementation the
-// equivalence tests run the event-driven engine against.
-func (s *SPES) tickDense(t int, invs []trace.FuncCount) {
-	// Mark this slot's arrivals for O(1) membership while scanning all
-	// functions. invs is FuncID-ascending, so walk it in lockstep instead
-	// of building a set.
-	next := 0
-	for i := range s.states {
-		fid := trace.FuncID(i)
-		st := &s.states[i]
-		invokedNow := false
-		if next < len(invs) && invs[next].Func == fid {
-			invokedNow = true
-			next++
-		}
-
-		if invokedNow {
-			// Lines 3-12: record the finished WT, reset, adapt, load.
-			if st.currentWT > 0 && int(s.lastInvoked[fid]) > -s.trainSlots {
-				s.recordOnlineWT(fid, st.currentWT)
-			}
-			s.lastInvoked[fid] = int32(t)
-			st.currentWT = 0
-			s.wtOff[fid] = 0
-			s.preloadUntil[fid] = -1
-			s.load(fid)
-			continue
-		}
-
-		// Lines 13-20: idle bookkeeping, pre-load or evict.
-		st.currentWT++
-		preload := s.shouldPreload(fid, t)
-		if preload {
-			s.load(fid)
-		} else if s.loaded[fid] && st.currentWT >= s.thetaGivenup(s.typ[fid]) {
-			s.unload(fid)
-		}
-	}
 
 	// Indicator-driven pre-loading: offline correlated links and online
 	// correlation for unseen functions (line 22, UCorr.update()).
@@ -413,17 +351,12 @@ func (s *SPES) drainSlot(t int) {
 }
 
 // NextWake implements sim.IdleSkipper: the earliest slot in (after, limit]
-// holding a scheduled deadline, -1 when there is none. The dense reference
-// engine reports ok=false, keeping it on the per-slot path the equivalence
-// tests compare against.
+// holding a scheduled deadline, -1 when there is none.
 func (s *SPES) NextWake(after, limit int) (int, bool) {
-	if s.wheel == nil {
-		return 0, false
-	}
 	return s.wheel.NextOccupied(after, limit), true
 }
 
-// idleStep evaluates the dense loop's per-slot idle branch (lines 13-20) for
+// idleStep evaluates the per-slot idle branch (lines 13-20) for
 // one function at slot t, then schedules its next wake-up. For predictive
 // types the pre-load decision and the next deadline come out of a single
 // window enumeration (PrewarmWindowScan) instead of separate ShouldPrewarm /
@@ -475,17 +408,15 @@ func (s *SPES) idleStep(fid trace.FuncID, t int) {
 }
 
 // preloadThrough extends a function's indicator-driven pre-load window
-// through the until slot (inclusive) and loads it, rescheduling its deadline
-// under the event-driven engine. Both engines and the online-correlation
-// strategy funnel through here.
+// through the until slot (inclusive), loads it, and reschedules its
+// deadline. Offline links and the online-correlation strategy both funnel
+// through here.
 func (s *SPES) preloadThrough(fid trace.FuncID, t, until int) {
 	if int32(until) > s.preloadUntil[fid] {
 		s.preloadUntil[fid] = int32(until)
 	}
 	s.load(fid)
-	if s.wheel != nil {
-		s.ensureWake(fid, t)
-	}
+	s.ensureWake(fid, t)
 }
 
 // ensureWake makes sure fid's single outstanding wheel event fires no later
@@ -561,9 +492,9 @@ func (s *SPES) scheduleWake(fid trace.FuncID, t, next int) {
 }
 
 // The deadline invariants ensureWake and idleStep rely on:
-//   - wt(tau) = tau - lastInvoked + wtOff is the value the dense loop's
-//     incremental currentWT would hold at an idle slot tau, so the eviction
-//     floor needs no per-slot bookkeeping.
+//   - wt(tau) = tau - lastInvoked + wtOff is the idle count a per-slot scan
+//     would have incremented to by an idle slot tau, so the eviction floor
+//     needs no per-slot bookkeeping.
 //   - While a function is unloaded, tau <= preloadUntil cannot hold: pre-load
 //     windows are only ever set in the same slot the function is loaded, and
 //     eviction requires the window to have expired.
@@ -575,8 +506,8 @@ func (s *SPES) scheduleWake(fid trace.FuncID, t, next int) {
 //     no self-transition while unloaded.
 
 // evictionFloor returns the first slot after t at which the idle patience
-// has run out and no indicator pre-load is active — the earliest slot the
-// dense loop could evict the function, ignoring pre-warm windows.
+// has run out and no indicator pre-load is active — the earliest slot a
+// per-slot scan could evict the function, ignoring pre-warm windows.
 func (s *SPES) evictionFloor(fid trace.FuncID, t int) int {
 	tau := int(s.lastInvoked[fid]) + s.thetaGivenup(s.typ[fid]) - int(s.wtOff[fid])
 	if p := int(s.preloadUntil[fid]) + 1; p > tau {

@@ -3,9 +3,9 @@ package sched
 // Agenda layers per-owner lazy invalidation over a Wheel: each owner has a
 // generation counter, an action fires only if the owner's generation still
 // matches the one it was scheduled with, and Bump cancels every outstanding
-// action of an owner in O(1). It is the event-driven replacement for the
-// baselines' map-backed per-slot agenda: same firing semantics, ring-bucket
-// storage reuse instead of per-slot map churn.
+// action of an owner in O(1). It has the firing semantics of a map keyed by
+// exact slot (the baselines' tests keep such a map as its oracle), with
+// ring-bucket storage reuse instead of per-slot map churn.
 type Agenda struct {
 	w   *Wheel
 	seq []uint32 // current generation per owner
@@ -48,7 +48,7 @@ func (a *Agenda) Schedule(current, slot, owner, what int) {
 // sees live actions. Ring events drain before overflow events; because every
 // owner has at most one live action per slot (schedulers bump before they
 // schedule), the relative order of different owners' actions is the only
-// thing that can differ from the map-backed agenda's insertion order, and
+// thing that can differ from an exact-slot map's insertion order, and
 // distinct owners' actions commute.
 func (a *Agenda) Drain(slot int, fn func(owner, what int)) {
 	// Inlined Wheel.Drain so the per-event generation filter does not cost a

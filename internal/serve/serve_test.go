@@ -406,6 +406,67 @@ func TestRestoreFallsBackAcrossSnapshots(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesOldSnapshotVersion rewrites every retained snapshot so
+// its framing and checksum are intact but the policy payload is the
+// previous SPES state version (SPES-ST1): the daemon must refuse it, count
+// the rejection, and rebuild the undisturbed state from the full journal.
+func TestRestoreRefusesOldSnapshotVersion(t *testing.T) {
+	train, simTr := testWorkload(t, 80, "")
+	dir := t.TempDir()
+	cfg := Config{Dir: dir, Policy: core.DefaultConfig(), Training: train, SnapshotEvery: 200}
+
+	s, c := startServer(t, cfg)
+	if _, err := Replay(c, simTr, LoadOptions{BatchSlots: 16, End: 900}); err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	want, wantSlot, wantSeq, err := s.StateHash()
+	if err != nil {
+		t.Fatalf("StateHash: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	sn := &snapshotter{dir: dir, fs: realFS{}}
+	names := sn.list()
+	if len(names) == 0 {
+		t.Fatal("no snapshot generations written")
+	}
+	for _, name := range names {
+		seq, slot, state, err := sn.read(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatalf("read %s: %v", name, err)
+		}
+		if !strings.HasPrefix(string(state), "SPES-ST2") {
+			t.Fatalf("%s: policy payload starts %q, want the SPES-ST2 magic", name, state[:8])
+		}
+		copy(state, "SPES-ST1")
+		if err := sn.save(seq, slot, state); err != nil {
+			t.Fatalf("save %s: %v", name, err)
+		}
+	}
+
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New (ST1 snapshots): %v", err)
+	}
+	defer s2.Close()
+	got, gotSlot, gotSeq, err := s2.StateHash()
+	if err != nil {
+		t.Fatalf("StateHash after full replay: %v", err)
+	}
+	if got != want || gotSlot != wantSlot || gotSeq != wantSeq {
+		t.Fatalf("restore over ST1 snapshots: hash %016x slot %d seq %d, want %016x %d %d",
+			got, gotSlot, gotSeq, want, wantSlot, wantSeq)
+	}
+	if s2.c.snapshotsRejected.Load() < 1 {
+		t.Fatal("snapshots_rejected stayed zero with only ST1 payloads on disk")
+	}
+	if s2.c.restoredFromSeq.Load() != 0 {
+		t.Fatal("daemon claims it restored an ST1 snapshot")
+	}
+}
+
 // TestServeUnderInjectedFaults replays with the serving fault classes
 // active on both sides — dropped connections (pre- and post-apply), slow
 // client stalls, torn snapshot writes — and requires the completes ⇒

@@ -90,9 +90,8 @@ type LoadDeltaTracker interface {
 //     cancelled timer) are allowed — they only cost a regular Tick. False
 //     negatives are NOT: a missed wake-up would change the loaded set
 //     without the simulator noticing.
-//   - ok=false means the policy cannot answer for this configuration (e.g.
-//     it is running its map-backed reference engine); the simulator stays on
-//     the slot-by-slot path.
+//   - ok=false means the policy cannot answer for this configuration; the
+//     simulator stays on the slot-by-slot path.
 //   - The simulator calls NextWake only after Tick(after, ...) has run, and
 //     guarantees every slot in (after, wake) it skips had no invocations.
 //     For each skipped slot the policy's loaded set is charged for memory
